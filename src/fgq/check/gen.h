@@ -99,8 +99,8 @@ struct FuzzOptions {
   /// is diffed against the aggregate folded over the brute-force answer
   /// set, cross-semiring invariants are checked (every instance's
   /// Truthy() agrees with Boolean; top-k's best equals min-plus), and the
-  /// count verb is served per semiring (cold + cache hit — exercises the
-  /// plan-cache semiring keying).
+  /// count verb is served per semiring twice (every semiring shares the
+  /// query's one cache entry — exercises the per-entry aggregate memo).
   bool include_semiring = true;
   /// Include the mutation paths: `mutation_batches` insert/delete batches
   /// applied through a SnapshotStore, with every answer diffed against

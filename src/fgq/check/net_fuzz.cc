@@ -25,13 +25,43 @@ std::string RandomText(Rng* rng, size_t max_len) {
   return s;
 }
 
+/// Any verb the protocol defines (decoders reject the rest).
+Verb RandomVerb(Rng* rng) {
+  return static_cast<Verb>(rng->Below(static_cast<uint8_t>(Verb::kMutate) + 1));
+}
+
+/// A well-formed kMutate op: row-major values matching nrows * arity, and
+/// at most one (empty) row when 0-ary — the decoder's bounds.
+net::MutationOp RandomMutationOp(Rng* rng, const FrameFuzzOptions& opt) {
+  net::MutationOp op;
+  op.is_delete = rng->Chance(0.5);
+  op.relation = RandomText(rng, 12);
+  op.arity = static_cast<uint32_t>(rng->Below(4));
+  op.nrows = op.arity == 0 ? rng->Below(2)
+                           : rng->Below(opt.max_values / op.arity + 1);
+  for (size_t i = 0; i < op.nrows * op.arity; ++i) {
+    op.values.push_back(static_cast<Value>(rng->Next()));
+  }
+  return op;
+}
+
 Request RandomRequest(Rng* rng, const FrameFuzzOptions& opt) {
   Request req;
   req.id = rng->Next();
-  req.verb = static_cast<Verb>(rng->Below(5));
+  req.verb = RandomVerb(rng);
   req.limit = static_cast<uint32_t>(rng->Next());
   req.deadline_ms = static_cast<uint32_t>(rng->Below(10'000));
   req.query = RandomText(rng, opt.max_query_len);
+  // The verb-specific sections exist on the wire only for their verb.
+  if (req.verb == Verb::kCount) {
+    req.semiring = static_cast<SemiringId>(rng->Below(kNumSemirings));
+  }
+  if (req.verb == Verb::kMutate) {
+    const size_t ops = rng->Below(4);
+    for (size_t i = 0; i < ops; ++i) {
+      req.mutations.push_back(RandomMutationOp(rng, opt));
+    }
+  }
   return req;
 }
 
@@ -43,6 +73,7 @@ Response RandomResponse(Rng* rng, Verb verb, const FrameFuzzOptions& opt) {
   resp.classification = static_cast<uint8_t>(rng->Below(8));
   resp.text = RandomText(rng, 32);
   if (resp.ok()) {
+    resp.epoch = rng->Next();  // On the wire only for successes.
     switch (verb) {
       case Verb::kRows:
       case Verb::kEnumerateLimit: {
@@ -65,22 +96,31 @@ Response RandomResponse(Rng* rng, Verb verb, const FrameFuzzOptions& opt) {
         resp.explain = RandomText(rng, 64);
         break;
       case Verb::kPing:
+      case Verb::kMutate:
         break;
     }
   }
   return resp;
 }
 
+bool SameMutation(const net::MutationOp& a, const net::MutationOp& b) {
+  return a.is_delete == b.is_delete && a.relation == b.relation &&
+         a.arity == b.arity && a.nrows == b.nrows && a.values == b.values;
+}
+
 bool SameRequest(const Request& a, const Request& b) {
   return a.id == b.id && a.verb == b.verb && a.limit == b.limit &&
-         a.deadline_ms == b.deadline_ms && a.query == b.query;
+         a.deadline_ms == b.deadline_ms && a.query == b.query &&
+         a.semiring == b.semiring &&
+         std::equal(a.mutations.begin(), a.mutations.end(),
+                    b.mutations.begin(), b.mutations.end(), SameMutation);
 }
 
 bool SameResponse(const Response& a, const Response& b) {
   return a.id == b.id && a.status == b.status && a.flags == b.flags &&
          a.classification == b.classification && a.text == b.text &&
-         a.arity == b.arity && a.nrows == b.nrows && a.values == b.values &&
-         a.count == b.count && a.explain == b.explain;
+         a.epoch == b.epoch && a.arity == b.arity && a.nrows == b.nrows &&
+         a.values == b.values && a.count == b.count && a.explain == b.explain;
 }
 
 enum class Mutation {
@@ -154,7 +194,7 @@ FrameFuzzReport RunFrameFuzz(const FrameFuzzOptions& opt) {
   Rng rng(opt.seed);
   for (size_t iter = 0; iter < opt.iterations; ++iter) {
     ++report.iterations;
-    const Verb verb = static_cast<Verb>(rng.Below(5));
+    const Verb verb = RandomVerb(&rng);
     const bool as_request = rng.Chance(0.5);
     Request req;
     Response resp;

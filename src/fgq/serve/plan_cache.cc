@@ -66,11 +66,10 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q) {
 }
 
 PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
-                            uint8_t tier, uint8_t semiring) {
+                            uint8_t tier, uint8_t) {
   PlanKey key;
   key.canonical = CanonicalQueryText(q);
   key.tier = tier;
-  key.semiring = semiring;
   // Distinct relations in first-mention order. Queries are small (a
   // handful of atoms), so a linear scan beats a set.
   std::vector<const std::string*> seen;
@@ -87,6 +86,26 @@ PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
     key.rel_epochs.push_back(snap.RelationEpoch(a.relation));
   }
   return key;
+}
+
+AggregateMemo::~AggregateMemo() {
+  for (auto& slot : slots_) delete slot.load(std::memory_order_relaxed);
+}
+
+const SemiringValue* AggregateMemo::Get(SemiringId id) const {
+  return slots_[static_cast<size_t>(id)].load(std::memory_order_acquire);
+}
+
+const SemiringValue& AggregateMemo::Publish(SemiringId id, SemiringValue v) {
+  auto* mine = new SemiringValue(std::move(v));
+  const SemiringValue* published = nullptr;
+  if (slots_[static_cast<size_t>(id)].compare_exchange_strong(
+          published, mine, std::memory_order_acq_rel,
+          std::memory_order_acquire)) {
+    return *mine;
+  }
+  delete mine;  // Lost the race: keep the first value.
+  return *published;
 }
 
 PlanCache::PlanCache(size_t capacity)

@@ -1,6 +1,8 @@
 #ifndef FGQ_SERVE_PLAN_CACHE_H_
 #define FGQ_SERVE_PLAN_CACHE_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -9,12 +11,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fgq/count/semiring.h"
 #include "fgq/db/relation.h"
 #include "fgq/db/snapshot.h"
 #include "fgq/eval/engine.h"
 #include "fgq/eval/enumerate.h"
 #include "fgq/query/cq.h"
-#include "fgq/util/bigint.h"
 #include "fgq/util/hash.h"
 #include "fgq/vm/program.h"
 
@@ -29,12 +31,17 @@
 /// keeps the immutable preprocessing artifact — an IndexedFreeConnexPlan
 /// (plus, on the compiled tier, the fgq::vm Program lowered from it) for
 /// free-connex/Boolean queries, the materialized answer relation for
-/// the other classes — keyed by the *canonicalized* query text, the
-/// database's version counter, and the execution tier, so a repeated
+/// the other classes — keyed by the *canonicalized* query text, the data
+/// state it was built against, and the execution tier, so a repeated
 /// query (even alpha-renamed) skips straight to the enumeration phase,
-/// any mutation of the database invalidates every plan (and compiled
+/// any mutation of the data invalidates every plan (and compiled
 /// program) built against it simply by changing the key, and requests at
 /// different tiers never alias one entry.
+///
+/// The semiring is not part of the key: it parameterizes only the
+/// aggregation phase, so rows requests and count requests under every
+/// semiring share the one preparation. Each entry memoizes the count
+/// verb's aggregate per semiring (AggregateMemo), counting included.
 
 namespace fgq {
 
@@ -59,7 +66,8 @@ std::string CanonicalQueryText(const ConjunctiveQuery& q);
 ///     (first-occurrence order, which the canonical text fixes), with
 ///     `db_version` left 0. A mutation of relation R changes only R's
 ///     epoch, so plans over untouched relations keep hitting — selective
-///     invalidation. Stale entries age out of the LRU.
+///     invalidation. Stale entries (and their memoized aggregates) age
+///     out of the LRU.
 struct PlanKey {
   std::string canonical;
   uint64_t db_version = 0;
@@ -69,16 +77,10 @@ struct PlanKey {
   std::vector<uint64_t> rel_epochs;
   /// static_cast<uint8_t>(ExecTier) of the preparing request.
   uint8_t tier = 0;
-  /// static_cast<uint8_t>(SemiringId) of the preparing request (0 =
-  /// counting — rows-verb and legacy count requests). A cached entry may
-  /// memoize the count-verb aggregate, which is semiring-specific, so
-  /// aggregates under different semirings must never alias one entry.
-  uint8_t semiring = 0;
 
   bool operator==(const PlanKey& o) const {
     return db_version == o.db_version && tier == o.tier &&
-           semiring == o.semiring && rel_epochs == o.rel_epochs &&
-           canonical == o.canonical;
+           rel_epochs == o.rel_epochs && canonical == o.canonical;
   }
 };
 
@@ -91,7 +93,6 @@ struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const {
     uint64_t h = HashCombine(0x51ed270bu, k.db_version);
     h = HashCombine(h, k.tier);
-    h = HashCombine(h, k.semiring);
     h = HashCombine(h, k.rel_epochs.size());
     for (uint64_t e : k.rel_epochs) h = HashCombine(h, e);
     h = HashCombine(h, std::hash<std::string>()(k.canonical));
@@ -102,30 +103,52 @@ struct PlanKeyHash {
 /// Builds the snapshot-granularity key for `q` pinned at `snap`: the
 /// canonical text plus the epoch of each distinct relation the query
 /// mentions, in first-mention order (atoms, which the canonical text
-/// preserves, then negated atoms share the same list).
+/// preserves, then negated atoms share the same list). The trailing
+/// semiring argument is accepted for source compatibility and ignored.
 PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
-                            uint8_t tier, uint8_t semiring = 0);
+                            uint8_t tier, uint8_t /*semiring*/ = 0);
+
+/// The count-verb aggregates of one cached preparation, one write-once
+/// slot per SemiringId (counting included). The first request under a
+/// semiring folds the shared preparation and publishes the value; later
+/// requests read it. Publication is a compare-and-swap from null, so
+/// racing workers may both fold but the first value published wins — the
+/// values are pure functions of the entry, so which one wins is
+/// immaterial — and a published slot never changes, so reads take no
+/// lock.
+class AggregateMemo {
+ public:
+  AggregateMemo() = default;
+  AggregateMemo(const AggregateMemo&) = delete;
+  AggregateMemo& operator=(const AggregateMemo&) = delete;
+  ~AggregateMemo();
+
+  /// The value published under `id`, or nullptr.
+  const SemiringValue* Get(SemiringId id) const;
+  /// Publishes `v` under `id` unless a value is already there; returns
+  /// the slot's value either way.
+  const SemiringValue& Publish(SemiringId id, SemiringValue v);
+
+ private:
+  std::array<std::atomic<const SemiringValue*>, kNumSemirings> slots_{};
+};
 
 /// One cached preparation. Exactly one of `plan` / `answers` is set:
 /// free-connex and Boolean queries cache the indexed plan (cursors are
 /// created per request), everything else caches the materialized answers.
 /// On the compiled tier, `program` additionally holds the fgq::vm
 /// bytecode lowered from `plan` (the program pins its plan alive);
-/// requests then run VM cursors instead of interpreter cursors.
-/// `count`, when present, memoizes |phi(D)| for the count verb. All
-/// members are immutable shared state — safe to hand to any number of
-/// concurrent requests.
+/// requests then run VM cursors instead of interpreter cursors. The
+/// preparation is immutable shared state — safe to hand to any number of
+/// concurrent requests; `aggregates` is the one mutable member, and it is
+/// thread-safe.
 struct CachedPlan {
   QueryClass classification = QueryClass::kCyclic;
   std::string algorithm;
   std::shared_ptr<const IndexedFreeConnexPlan> plan;
   std::shared_ptr<const vm::Program> program;
   std::shared_ptr<const Relation> answers;
-  std::shared_ptr<const BigInt> count;
-  /// Memoized count-verb aggregate for the key's (non-counting) semiring
-  /// — keys carry the semiring id, so one entry never serves two
-  /// semirings.
-  std::shared_ptr<const SemiringValue> semiring_value;
+  mutable AggregateMemo aggregates;
 };
 
 /// A bounded LRU over CachedPlan entries. All operations take the cache

@@ -20,22 +20,35 @@ double ToMicros(std::chrono::nanoseconds d) {
   return static_cast<double>(d.count()) / 1000.0;
 }
 
-/// Drains a fresh cursor over the prepared plan and folds the distinct
-/// answer stream under the request's semiring — the interpreted-tier
-/// source for the memoized aggregate.
-Result<SemiringValue> DrainAndFold(const ServiceRequest& req,
-                                   const CachedPlan& plan) {
-  std::unique_ptr<AnswerEnumerator> cursor = MakePlanEnumerator(plan.plan);
-  Relation drained(req.query.name(), req.query.arity());
+/// Runs a fresh cursor over `entry`'s plan or program for at most
+/// `limit` answers (0 = all), appending them to `out` — or, with a null
+/// `out`, only counting them in O(1) memory — and returns how many it
+/// stepped. Fails with the cancellation status, labelled `what`, when
+/// the request's token trips.
+Result<uint64_t> Drain(const ServiceRequest& req, const CancelToken& cancel,
+                       const CachedPlan& entry, uint64_t limit, Relation* out,
+                       const char* what) {
+  std::unique_ptr<AnswerEnumerator> cursor =
+      entry.program ? vm::MakeProgramCursor(entry.program, req.trace)
+                    : MakePlanEnumerator(entry.plan);
+  uint64_t n = 0;
   Tuple t;
-  while (cursor->Next(&t)) {
-    if (req.query.arity() == 0) {
-      drained.AddNullary();
+  while ((limit == 0 || n < limit) && cursor->Next(&t)) {
+    ++n;
+    if (out == nullptr) {
+      // Count only.
+    } else if (req.query.arity() == 0) {
+      out->AddNullary();
     } else {
-      drained.Add(t);
+      out->Add(t);
+    }
+    if (cancel.cancelled()) {
+      Status base = cancel.Check(what);
+      return Status(base.code(), base.message() + " (" + std::to_string(n) +
+                                     " answers enumerated)");
     }
   }
-  return FoldAnswersSemiring(req.query, drained, req.semiring);
+  return n;
 }
 
 }  // namespace
@@ -73,26 +86,14 @@ void QueryService::Resolve(Pending& p, ServiceResponse resp) {
 }
 
 QueryService::QueryService(const Database* db, ServiceOptions opts)
-    : db_(db),
-      store_(nullptr),
-      opts_(opts),
-      engine_(opts.exec),
-      cache_(opts.cache_capacity) {
-  if (opts_.num_workers == 0) opts_.num_workers = 1;
-  if (opts_.max_pending == 0) opts_.max_pending = 1;
-  if (opts_.max_concurrent_heavy == 0) {
-    opts_.max_concurrent_heavy = std::max<size_t>(1, opts_.num_workers / 2);
-  }
-  opts_.max_concurrent_heavy =
-      std::min(opts_.max_concurrent_heavy, opts_.num_workers);
-  workers_.reserve(opts_.num_workers);
-  for (size_t i = 0; i < opts_.num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+    : QueryService(db, nullptr, opts) {}
 
 QueryService::QueryService(SnapshotStore* store, ServiceOptions opts)
-    : db_(nullptr),
+    : QueryService(nullptr, store, opts) {}
+
+QueryService::QueryService(const Database* db, SnapshotStore* store,
+                           ServiceOptions opts)
+    : db_(db),
       store_(store),
       opts_(opts),
       engine_(opts.exec),
@@ -104,6 +105,10 @@ QueryService::QueryService(SnapshotStore* store, ServiceOptions opts)
   }
   opts_.max_concurrent_heavy =
       std::min(opts_.max_concurrent_heavy, opts_.num_workers);
+  // Registered up front so the stats dump shows them before the first
+  // count request.
+  metrics_.GetCounter("serve.aggregate.memo_fills");
+  metrics_.GetCounter("serve.aggregate.memo_hits");
   workers_.reserve(opts_.num_workers);
   for (size_t i = 0; i < opts_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -296,26 +301,18 @@ ServiceResponse QueryService::Process(Pending& p) {
   // The tier is part of the key: a kInterpret request must never be
   // served a compiled program prepared at kCompile, and vice versa. In
   // snapshot mode the key carries per-relation epochs instead of the
-  // whole-database version — selective invalidation.
-  // The count verb's semiring is part of the key too: an entry may
-  // memoize its aggregate, and a min-plus aggregate must never answer a
-  // boolean request. Rows requests always key semiring 0 (counting), so
-  // they keep sharing plans exactly as before.
-  const SemiringId semiring = p.req.verb == ServeVerb::kCount
-                                  ? p.req.semiring
-                                  : SemiringId::kCounting;
-  if (p.req.trace != nullptr && semiring != SemiringId::kCounting) {
-    request_span.Arg("semiring", SemiringName(semiring));
+  // whole-database version — selective invalidation. The semiring is
+  // not: rows and count requests under every semiring share the entry.
+  if (p.req.trace != nullptr && p.req.verb == ServeVerb::kCount) {
+    request_span.Arg("semiring", SemiringName(p.req.semiring));
   }
   PlanKey key;
   if (snap != nullptr) {
-    key = MakeSnapshotPlanKey(p.req.query, *snap, static_cast<uint8_t>(tier),
-                              static_cast<uint8_t>(semiring));
+    key = MakeSnapshotPlanKey(p.req.query, *snap, static_cast<uint8_t>(tier));
   } else {
     key.canonical = CanonicalQueryText(p.req.query);
     key.db_version = db_->version();
     key.tier = static_cast<uint8_t>(tier);
-    key.semiring = static_cast<uint8_t>(semiring);
   }
   std::shared_ptr<const CachedPlan> cached;
   // A request whose deadline expired while queued fails fast.
@@ -337,137 +334,50 @@ ServiceResponse QueryService::Process(Pending& p) {
 
   if (resp.status.ok() && cached) {
     resp.algorithm = cached->algorithm;
-    if (cached->program && p.req.verb == ServeVerb::kCount) {
-      // Fused counting stream: no cursor, no per-answer work where the
-      // compiler collapsed the innermost loop (kCountSpan). Non-counting
-      // semirings take the same stream through their RunSumProduct
-      // instantiation — one dispatch per span either way.
-      TraceSpan enumerate_span(p.req.trace, "enumerate", "serve");
-      if (semiring == SemiringId::kCounting) {
-        Result<uint64_t> n =
-            vm::RunCount(*cached->program, p.cancel, p.req.trace);
-        if (!n.ok()) {
-          resp.status = n.status();
-        } else {
-          TraceCounter(p.req.trace, "tuples_emitted", *n);
-          resp.count = BigInt::FromUint64(*n);
-        }
-      } else if (cached->semiring_value) {
-        // Memoized at Prepare time: the aggregate is a pure value of the
-        // (query, snapshot, semiring) key, so a hit skips the stream.
-        resp.semiring_value = *cached->semiring_value;
+    if (cached->answers && resp.cache_hit) {
+      // Materialized answers still count as emitted to *this* request, so
+      // a traced cache hit reads the same as a traced miss (whose emits
+      // were already counted by the engine inside Prepare).
+      TraceCounter(p.req.trace, "tuples_emitted",
+                   cached->answers->NumTuples());
+    }
+    if (p.req.verb == ServeVerb::kCount) {
+      Result<SemiringValue> v = Aggregate(p, *cached);
+      if (!v.ok()) {
+        resp.status = v.status();
+      } else if (p.req.semiring == SemiringId::kCounting) {
+        resp.count = std::move(v->count);
       } else {
-        Result<SemiringValue> v =
-            vm::RunSemiring(*cached->program, semiring, p.cancel, p.req.trace);
-        if (!v.ok()) {
-          resp.status = v.status();
-        } else {
-          resp.semiring_value = std::move(v).value();
-        }
+        resp.semiring_value = std::move(v).value();
       }
-    } else if (cached->plan || cached->program) {
+    } else if (cached->answers) {
+      if (p.req.limit != 0 && p.req.limit < cached->answers->NumTuples()) {
+        // Truncated view of the shared materialized answers.
+        auto prefix = std::make_shared<Relation>(cached->answers->name(),
+                                                 cached->answers->arity());
+        if (cached->answers->arity() == 0) {
+          for (uint64_t i = 0; i < p.req.limit; ++i) prefix->AddNullary();
+        } else {
+          prefix->AppendPrefixFrom(*cached->answers, p.req.limit);
+        }
+        resp.answers = std::move(prefix);
+      } else {
+        resp.answers = cached->answers;
+      }
+    } else {
       // Serve from the shared preparation: a fresh cursor per request —
       // a VM cursor over the compiled program when one was prepared, the
       // interpreter's plan cursor otherwise.
       TraceSpan enumerate_span(p.req.trace, "enumerate", "serve");
-      std::unique_ptr<AnswerEnumerator> cursor =
-          cached->program
-              ? vm::MakeProgramCursor(cached->program, p.req.trace)
-              : MakePlanEnumerator(cached->plan);
-      if (p.req.verb == ServeVerb::kRows) {
-        auto out = std::make_shared<Relation>(p.req.query.name(),
-                                              p.req.query.arity());
-        Tuple t;
-        while ((p.req.limit == 0 || out->NumTuples() < p.req.limit) &&
-               cursor->Next(&t)) {
-          if (p.req.query.arity() == 0) {
-            out->AddNullary();
-          } else {
-            out->Add(t);
-          }
-          if (p.cancel.cancelled()) break;
-        }
-        if (p.cancel.cancelled()) {
-          Status base = p.cancel.Check("answer enumeration");
-          resp.status = Status(
-              base.code(), base.message() + " (" +
-                               std::to_string(out->NumTuples()) +
-                               " answers enumerated)");
-        } else {
-          TraceCounter(p.req.trace, "tuples_emitted", out->NumTuples());
-          resp.answers = std::move(out);
-        }
-      } else if (semiring == SemiringId::kCounting) {
-        uint64_t n = 0;
-        Tuple t;
-        while (cursor->Next(&t) && !p.cancel.cancelled()) ++n;
-        if (p.cancel.cancelled()) {
-          resp.status = p.cancel.Check("answer counting");
-        } else {
-          TraceCounter(p.req.trace, "tuples_emitted", n);
-          resp.count = BigInt::FromUint64(n);
-        }
-      } else if (cached->semiring_value) {
-        resp.semiring_value = *cached->semiring_value;
+      auto out = std::make_shared<Relation>(p.req.query.name(),
+                                            p.req.query.arity());
+      Result<uint64_t> n = Drain(p.req, p.cancel, *cached, p.req.limit,
+                                 out.get(), "answer enumeration");
+      if (!n.ok()) {
+        resp.status = n.status();
       } else {
-        // Interpreted tier, non-counting semiring: drain the (distinct)
-        // stream and fold it under the semiring.
-        Relation drained(p.req.query.name(), p.req.query.arity());
-        Tuple t;
-        while (cursor->Next(&t) && !p.cancel.cancelled()) {
-          if (p.req.query.arity() == 0) {
-            drained.AddNullary();
-          } else {
-            drained.Add(t);
-          }
-        }
-        if (p.cancel.cancelled()) {
-          resp.status = p.cancel.Check("semiring aggregation");
-        } else {
-          Result<SemiringValue> v =
-              FoldAnswersSemiring(p.req.query, drained, semiring);
-          if (!v.ok()) {
-            resp.status = v.status();
-          } else {
-            resp.semiring_value = std::move(v).value();
-          }
-        }
-      }
-    } else if (cached->answers) {
-      // Materialized answers still count as emitted to *this* request, so
-      // a traced cache hit reads the same as a traced miss (whose emits
-      // were already counted by the engine inside Prepare).
-      if (resp.cache_hit) {
-        TraceCounter(p.req.trace, "tuples_emitted",
-                     cached->answers->NumTuples());
-      }
-      if (p.req.verb == ServeVerb::kRows) {
-        if (p.req.limit != 0 &&
-            p.req.limit < cached->answers->NumTuples()) {
-          // Truncated view of the shared materialized answers.
-          auto prefix = std::make_shared<Relation>(cached->answers->name(),
-                                                   cached->answers->arity());
-          if (cached->answers->arity() == 0) {
-            for (uint64_t i = 0; i < p.req.limit; ++i) prefix->AddNullary();
-          } else {
-            prefix->AppendPrefixFrom(*cached->answers, p.req.limit);
-          }
-          resp.answers = std::move(prefix);
-        } else {
-          resp.answers = cached->answers;
-        }
-      } else if (semiring == SemiringId::kCounting) {
-        resp.count = BigInt::FromUint64(cached->answers->NumTuples());
-      } else if (cached->semiring_value) {
-        resp.semiring_value = *cached->semiring_value;
-      } else {
-        Result<SemiringValue> v =
-            FoldAnswersSemiring(p.req.query, *cached->answers, semiring);
-        if (!v.ok()) {
-          resp.status = v.status();
-        } else {
-          resp.semiring_value = std::move(v).value();
-        }
+        TraceCounter(p.req.trace, "tuples_emitted", *n);
+        resp.answers = std::move(out);
       }
     }
   }
@@ -532,21 +442,6 @@ std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,
         metrics_.GetCounter("serve.vm.compiled").Increment();
       }
     }
-    if (p.req.verb == ServeVerb::kCount &&
-        p.req.semiring != SemiringId::kCounting) {
-      // Memoize the aggregate on this (semiring-keyed, epoch-keyed)
-      // entry: it is a pure value of the snapshot, so cache hits return
-      // it without touching the weight fold again. The counting verb
-      // stays un-memoized — its fused stream is the latency baseline.
-      Result<SemiringValue> v =
-          plan->program ? vm::RunSemiring(*plan->program, p.req.semiring,
-                                          p.cancel, p.req.trace)
-                        : DrainAndFold(p.req, *plan);
-      if (v.ok()) {
-        plan->semiring_value =
-            std::make_shared<const SemiringValue>(std::move(v).value());
-      }
-    }
     return plan;
   }
   if (tier == ExecTier::kCompile &&
@@ -583,18 +478,45 @@ std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,
   }
   plan->algorithm = res->algorithm;
   plan->answers = std::make_shared<const Relation>(std::move(res->answers));
-  if (p.req.verb == ServeVerb::kCount &&
-      p.req.semiring != SemiringId::kCounting) {
-    // Memoize the aggregate on this (semiring-keyed) entry so cache hits
-    // skip the fold entirely.
-    Result<SemiringValue> v =
-        FoldAnswersSemiring(p.req.query, *plan->answers, p.req.semiring);
-    if (v.ok()) {
-      plan->semiring_value =
-          std::make_shared<const SemiringValue>(std::move(v).value());
-    }
-  }
   return plan;
+}
+
+Result<SemiringValue> QueryService::Aggregate(Pending& p,
+                                              const CachedPlan& entry) {
+  const SemiringId id = p.req.semiring;
+  if (const SemiringValue* memo = entry.aggregates.Get(id)) {
+    metrics_.GetCounter("serve.aggregate.memo_hits").Increment();
+    return *memo;
+  }
+  // First request under `id` on this entry: fold the shared preparation
+  // — the compiled count stream when there is a program, else the
+  // materialized answers, else a drain of the plan cursor (counting only
+  // steps it, in O(1) memory; the other semirings fold the drained
+  // distinct answers).
+  TraceSpan aggregate_span(p.req.trace, "enumerate", "serve");
+  Result<SemiringValue> v = [&]() -> Result<SemiringValue> {
+    if (entry.program) {
+      return vm::RunSemiring(*entry.program, id, p.cancel, p.req.trace);
+    }
+    const char* what = "semiring aggregation";
+    if (id == SemiringId::kCounting) {
+      uint64_t n = entry.answers ? entry.answers->NumTuples() : 0;
+      if (!entry.answers) {
+        FGQ_ASSIGN_OR_RETURN(n, Drain(p.req, p.cancel, entry, 0, nullptr, what));
+      }
+      return SemiringValue::Counting(BigInt::FromUint64(n));
+    }
+    if (entry.answers) {
+      return FoldAnswersSemiring(p.req.query, *entry.answers, id);
+    }
+    Relation drained(p.req.query.name(), p.req.query.arity());
+    FGQ_RETURN_NOT_OK(Drain(p.req, p.cancel, entry, 0, &drained, what).status());
+    return FoldAnswersSemiring(p.req.query, drained, id);
+  }();
+  // A cancelled or timed-out fold publishes nothing.
+  if (!v.ok()) return v;
+  metrics_.GetCounter("serve.aggregate.memo_fills").Increment();
+  return entry.aggregates.Publish(id, std::move(v).value());
 }
 
 std::string QueryService::StatsDump() {

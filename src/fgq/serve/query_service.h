@@ -32,9 +32,11 @@
 ///
 /// * **Plan caching.** Prepared plans (the Theorem 4.6 preprocessing for
 ///   free-connex queries, materialized answers otherwise) live in an LRU
-///   keyed by canonical query text + database version, so repeated
+///   keyed by canonical query text + data state + tier, so repeated
 ///   queries skip the O(||D||) preparation and any database mutation
-///   invalidates stale plans by construction (see plan_cache.h).
+///   invalidates stale plans by construction (see plan_cache.h). Rows
+///   and count requests under every semiring share one entry, which
+///   memoizes each semiring's aggregate after its first fold.
 /// * **Deadlines and cancellation.** Every request carries a CancelToken
 ///   that the evaluation loops poll; an expired deadline surfaces as
 ///   Status::DeadlineExceeded with partial-work accounting instead of a
@@ -130,8 +132,8 @@ struct ServiceRequest {
   /// kCount only: the commutative semiring the count verb aggregates
   /// under (semiring.h). kCounting (the default) is the classic |phi(D)|
   /// and fills ServiceResponse::count; every other id fills
-  /// ServiceResponse::semiring_value. Part of the plan-cache key, so
-  /// aggregates under different semirings never alias one entry.
+  /// ServiceResponse::semiring_value. Not part of the plan-cache key:
+  /// the aggregate is memoized per semiring on the shared entry.
   SemiringId semiring = SemiringId::kCounting;
   /// Optional trace sink for this request (not owned; must outlive the
   /// response future). The worker opens a `serve.request` span, plumbs
@@ -241,6 +243,9 @@ class QueryService {
     uint64_t seq = 0;
   };
 
+  /// Both public constructors: exactly one of `db` / `store` is set.
+  QueryService(const Database* db, SnapshotStore* store, ServiceOptions opts);
+
   /// True for the oracle-backed classes that get the throttled lane.
   static bool IsHeavy(QueryClass c);
 
@@ -250,9 +255,14 @@ class QueryService {
   ServiceResponse Process(Pending& p);
   /// Evaluation on cache miss against `db` (the pinned snapshot's view in
   /// snapshot mode); fills `out` and returns the plan to cache (nullptr
-  /// when the result must not be cached, e.g. after a deadline).
+  /// when the result must not be cached, e.g. after a deadline). Computes
+  /// no aggregate: that is Aggregate's job, on any request.
   std::shared_ptr<const CachedPlan> Prepare(Pending& p, const Database& db,
                                             ServiceResponse* out);
+  /// The count-verb aggregate of `entry` under p.req.semiring: the memo
+  /// slot when filled, otherwise one fold over the shared preparation,
+  /// published to the slot on success (never after a cancelled fold).
+  Result<SemiringValue> Aggregate(Pending& p, const CachedPlan& entry);
 
   /// True when `p` takes the heavy lane (classification + lane hint).
   static bool TakesHeavyLane(const Pending& p);

@@ -2,11 +2,13 @@
 
 #include <chrono>
 #include <future>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fgq/count/acq_count.h"
 #include "fgq/query/parser.h"
 #include "fgq/serve/plan_cache.h"
 #include "fgq/serve/query_service.h"
@@ -755,6 +757,263 @@ TEST(QueryService, DatabaseVersionBumpsOnMutation) {
   (void)db.FindMutable("E");
   EXPECT_GT(db.version(), v1);  // Conservative: handing out a mutable
                                 // pointer counts as a mutation.
+}
+
+// ---- QueryService: one entry, every aggregate memoized on it ---------------
+
+/// A random graph E over a small domain plus a unary B over half of it:
+/// the values double as semiring weights, so the aggregates differ per
+/// semiring and per query.
+Database WeightedGraph(uint64_t seed, size_t edges = 60, Value domain = 12) {
+  Rng rng(seed);
+  std::set<Tuple> e_rows;
+  while (e_rows.size() < edges) {
+    e_rows.insert({static_cast<Value>(rng.Below(domain)),
+                   static_cast<Value>(rng.Below(domain))});
+  }
+  Relation e("E", 2);
+  for (const Tuple& t : e_rows) e.Add(t);
+  Relation b("B", 1);
+  for (Value v = 0; v < domain; v += 2) b.Add({v});
+  Database db;
+  db.PutRelation(std::move(e));
+  db.PutRelation(std::move(b));
+  return db;
+}
+
+ServiceRequest CountRequest(const ConjunctiveQuery& q, SemiringId id,
+                            std::optional<ExecTier> tier = std::nullopt) {
+  ServiceRequest req;
+  req.query = q;
+  req.verb = ServeVerb::kCount;
+  req.semiring = id;
+  req.tier = tier;
+  return req;
+}
+
+/// The aggregate a successful count response carries under `id`.
+SemiringValue AggregateOf(const ServiceResponse& resp, SemiringId id) {
+  return id == SemiringId::kCounting ? SemiringValue::Counting(resp.count)
+                                     : resp.semiring_value;
+}
+
+/// The reference: FoldAnswersSemiring over Engine::Run's answers.
+SemiringValue ReferenceFold(const ConjunctiveQuery& q, const ExecRequest& exec,
+                            SemiringId id) {
+  Engine engine{ExecOptions::Serial()};
+  Result<ExecResult> ref = engine.Run(exec);
+  EXPECT_TRUE(ref.ok()) << ref.status();
+  Result<SemiringValue> want = FoldAnswersSemiring(q, ref->answers, id);
+  EXPECT_TRUE(want.ok()) << want.status();
+  return *want;
+}
+
+uint64_t CounterValue(QueryService& service, const char* name) {
+  return service.metrics().GetCounter(name).Value();
+}
+
+TEST(SharedEntry, RowsAndEverySemiringCostOneMiss) {
+  const Database db = WeightedGraph(7);
+  ServiceOptions opts;
+  opts.num_workers = 2;
+  QueryService service(&db, opts);
+  const char* queries[] = {
+      "Q(x) :- E(x, y), B(y).",                  // free-connex
+      "Q(x, z) :- E(x, y), E(y, z).",            // general acyclic
+      "Q() :- E(x, y), B(y).",                   // Boolean
+      "T(x, y) :- E(x, y), E(y, z), E(z, x).",   // cyclic
+      "Q(x, y) :- E(x, y), B(y), x != y.",       // disequality
+  };
+  const ExecTier tiers[] = {ExecTier::kInterpret, ExecTier::kAuto,
+                            ExecTier::kCompile};
+  uint64_t entries = 0;
+  for (const char* text : queries) {
+    const ConjunctiveQuery q = Q(text);
+    std::vector<SemiringValue> want;
+    for (uint8_t i = 0; i < kNumSemirings; ++i) {
+      want.push_back(ReferenceFold(q, ExecRequest(q, db),
+                                   static_cast<SemiringId>(i)));
+    }
+    for (ExecTier tier : tiers) {
+      ++entries;
+      const uint64_t misses = service.cache().misses();
+      ServiceRequest rows;
+      rows.query = q;
+      rows.tier = tier;
+      ServiceResponse r = service.Submit(rows).get();
+      ASSERT_TRUE(r.status.ok()) << text << ": " << r.status;
+      EXPECT_FALSE(r.cache_hit) << text;
+      // Two passes: the first fills each semiring's memo slot, the second
+      // reads it back; both must agree with the reference.
+      for (int round = 0; round < 2; ++round) {
+        for (uint8_t i = 0; i < kNumSemirings; ++i) {
+          const SemiringId id = static_cast<SemiringId>(i);
+          ServiceResponse c = service.Submit(CountRequest(q, id, tier)).get();
+          ASSERT_TRUE(c.status.ok()) << text << ": " << c.status;
+          EXPECT_TRUE(c.cache_hit) << text << " " << SemiringName(id);
+          EXPECT_EQ(AggregateOf(c, id), want[i])
+              << text << " tier=" << ExecTierName(tier)
+              << " semiring=" << SemiringName(id) << " round " << round;
+        }
+      }
+      EXPECT_EQ(service.cache().misses(), misses + 1)
+          << text << " tier=" << ExecTierName(tier);
+    }
+  }
+  EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_fills"),
+            entries * kNumSemirings);
+  EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_hits"),
+            entries * kNumSemirings);
+  const std::string dump = service.StatsDump();
+  EXPECT_NE(dump.find("serve.aggregate.memo_fills"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("serve.aggregate.memo_hits"), std::string::npos);
+}
+
+TEST(SharedEntry, MutationRetiresTheEntryAndEveryMemo) {
+  SnapshotStore store(WeightedGraph(11));
+  ServiceOptions opts;
+  opts.num_workers = 2;
+  QueryService service(&store, opts);
+  const ConjunctiveQuery q = Q("Q(x, z) :- E(x, y), E(y, z).");
+  // Every semiring at the current epoch; only the first may miss.
+  auto all_semirings = [&](bool want_first_hit) {
+    const auto snap = store.Current();
+    for (uint8_t i = 0; i < kNumSemirings; ++i) {
+      const SemiringId id = static_cast<SemiringId>(i);
+      ServiceResponse c = service.Submit(CountRequest(q, id)).get();
+      ASSERT_TRUE(c.status.ok()) << c.status;
+      EXPECT_EQ(c.epoch, snap->epoch());
+      EXPECT_EQ(c.cache_hit, i > 0 || want_first_hit) << SemiringName(id);
+      EXPECT_EQ(AggregateOf(c, id), ReferenceFold(q, ExecRequest(q, snap), id))
+          << SemiringName(id) << " at epoch " << snap->epoch();
+    }
+  };
+  all_semirings(/*want_first_hit=*/false);
+  EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_fills"), 5u);
+
+  // Touching E retires the entry with all five memos: every value is
+  // folded afresh against the new epoch.
+  MutationBatch touch_e{{"E", {{20, 21}, {21, 3}, {3, 20}}, {}}};
+  ASSERT_TRUE(store.Apply(touch_e).ok());
+  all_semirings(/*want_first_hit=*/false);
+  EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_fills"), 10u);
+
+  // B is not in the query: the entry and its memos survive.
+  MutationBatch touch_b{{"B", {{1}}, {}}};
+  ASSERT_TRUE(store.Apply(touch_b).ok());
+  all_semirings(/*want_first_hit=*/true);
+  EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_fills"), 10u);
+  EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_hits"), 5u);
+}
+
+TEST(SharedEntry, RacingFirstAggregatesAreAllCorrect) {
+  const Database db = WeightedGraph(13, /*edges=*/1500, /*domain=*/200);
+  ServiceOptions opts;
+  opts.num_workers = 4;
+  opts.max_pending = 256;
+  QueryService service(&db, opts);
+  const ConjunctiveQuery q = Q("Q(x, z) :- E(x, y), E(y, z).");
+  constexpr size_t kClients = 4;
+  constexpr size_t kPerClient = 2 * kNumSemirings;
+  std::vector<SemiringValue> want;
+  for (uint8_t i = 0; i < kNumSemirings; ++i) {
+    want.push_back(ReferenceFold(q, ExecRequest(q, db),
+                                 static_cast<SemiringId>(i)));
+  }
+  size_t requests = 0;
+  for (ExecTier tier : {ExecTier::kInterpret, ExecTier::kCompile}) {
+    // One shared entry, no memo yet: the clients' first requests under
+    // each semiring race to fold and publish.
+    ServiceRequest rows;
+    rows.query = q;
+    rows.tier = tier;
+    ASSERT_TRUE(service.Submit(rows).get().status.ok());
+    std::vector<std::vector<ServiceResponse>> got(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::vector<std::future<ServiceResponse>> futures;
+        for (size_t k = 0; k < kPerClient; ++k) {
+          const auto id = static_cast<SemiringId>((c + k) % kNumSemirings);
+          futures.push_back(service.Submit(CountRequest(q, id, tier)));
+        }
+        for (auto& f : futures) got[c].push_back(f.get());
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    requests += kClients * kPerClient;
+    for (size_t c = 0; c < kClients; ++c) {
+      for (size_t k = 0; k < kPerClient; ++k) {
+        const auto id = static_cast<SemiringId>((c + k) % kNumSemirings);
+        const ServiceResponse& resp = got[c][k];
+        ASSERT_TRUE(resp.status.ok()) << resp.status;
+        EXPECT_TRUE(resp.cache_hit);
+        EXPECT_EQ(AggregateOf(resp, id), want[static_cast<size_t>(id)])
+            << "tier=" << ExecTierName(tier) << " " << SemiringName(id);
+      }
+    }
+  }
+  // Racers may both fold, but every request either folded or read a
+  // memo, and each (tier, semiring) folded at least once.
+  const uint64_t fills = CounterValue(service, "serve.aggregate.memo_fills");
+  EXPECT_GE(fills, 2u * kNumSemirings);
+  EXPECT_EQ(fills + CounterValue(service, "serve.aggregate.memo_hits"),
+            requests);
+  EXPECT_EQ(service.cache().misses(), 2u);
+}
+
+TEST(SharedEntry, TimedOutFoldPublishesNothing) {
+  // An 800 x 800 cross product: draining its 640k answers through the
+  // interpreter's cursor takes far longer than the 1 ms deadline, even
+  // when the drain only counts them.
+  Database db;
+  Relation a("A", 1), b("B", 1);
+  for (Value v = 0; v < 800; ++v) {
+    a.Add({v + 7});
+    b.Add({v + 3});
+  }
+  db.PutRelation(std::move(a));
+  db.PutRelation(std::move(b));
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  QueryService service(&db, opts);
+  const ConjunctiveQuery q = Q("Q(x, y) :- A(x), B(y).");
+  ServiceRequest warm;
+  warm.query = q;
+  warm.tier = ExecTier::kInterpret;
+  warm.limit = 1;
+  ASSERT_TRUE(service.Submit(warm).get().status.ok());
+
+  // Counting steps the interpreter's cursor without materializing; the
+  // other semirings fold the drained answers. Neither publishes when cut.
+  for (SemiringId id : {SemiringId::kCounting, SemiringId::kMinPlus}) {
+    const uint64_t fills = CounterValue(service, "serve.aggregate.memo_fills");
+    ServiceRequest hurried = CountRequest(q, id, ExecTier::kInterpret);
+    hurried.timeout = std::chrono::milliseconds(1);
+    ServiceResponse late = service.Submit(hurried).get();
+    EXPECT_EQ(late.status.code(), StatusCode::kDeadlineExceeded)
+        << SemiringName(id) << ": " << late.status;
+    EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_fills"), fills);
+
+    ServiceResponse next =
+        service.Submit(CountRequest(q, id, ExecTier::kInterpret)).get();
+    ASSERT_TRUE(next.status.ok()) << next.status;
+    EXPECT_TRUE(next.cache_hit);
+    EXPECT_EQ(AggregateOf(next, id), ReferenceFold(q, ExecRequest(q, db), id));
+    EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_fills"), fills + 1);
+  }
+  EXPECT_EQ(service.Submit(CountRequest(q, SemiringId::kCounting,
+                                        ExecTier::kInterpret))
+                .get()
+                .count,
+            BigInt::FromUint64(800 * 800));
+  EXPECT_EQ(service.Submit(CountRequest(q, SemiringId::kMinPlus,
+                                        ExecTier::kInterpret))
+                .get()
+                .semiring_value,
+            SemiringValue::MinPlus(7 + 3));
+  EXPECT_EQ(CounterValue(service, "serve.aggregate.memo_hits"), 2u);
 }
 
 }  // namespace

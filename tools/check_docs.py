@@ -59,6 +59,8 @@ DELETED_SYMBOLS = [
     "QueryService::TrySubmit",
     "QueryService::Call",
     "TrySubmit(",
+    "PlanKey::semiring",
+    "CachedPlan::semiring_value",
 ]
 REMOVAL_CONTEXT_RE = re.compile(r"removed|retired|deprecat", re.IGNORECASE)
 
