@@ -1,7 +1,6 @@
 #include <benchmark/benchmark.h>
 
 #include "fgq/count/acq_count.h"
-#include "fgq/count/fields.h"
 #include "fgq/eval/yannakakis.h"
 #include "fgq/workload/generators.h"
 
@@ -21,9 +20,8 @@ void BM_CountQuantifierFreePath(benchmark::State& state) {
   Database db = PathDatabase(k, n, static_cast<Value>(n / 8 + 4), &rng);
   ConjunctiveQuery q = FullPathQuery(k);
   std::string count;
-  auto ones = [](Value) { return BigInt(1); };
   for (auto _ : state) {
-    auto c = WeightedCountAcq0<BigIntField>(q, db, ones);
+    auto c = CountAcq(q, db);
     if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
     count = c->ToString();
     benchmark::DoNotOptimize(c);
@@ -52,39 +50,6 @@ BENCHMARK(BM_CountByMaterializing)
     ->ArgsProduct({{2, 4}, {1 << 10, 1 << 12, 1 << 14}})
     ->Unit(benchmark::kMillisecond);
 
-/// Field ablation: the DP cost across coefficient domains. BigInt pays
-/// for exactness; Z_p and int64 are near-free.
-template <typename Field>
-void FieldBench(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(62);
-  Database db = PathDatabase(4, n, static_cast<Value>(n / 8 + 4), &rng);
-  ConjunctiveQuery q = FullPathQuery(4);
-  auto ones = [](Value) { return typename Field::ValueType(1); };
-  for (auto _ : state) {
-    auto c = WeightedCountAcq0<Field>(q, db, ones);
-    if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
-    benchmark::DoNotOptimize(c);
-  }
-  state.counters["n"] = static_cast<double>(n);
-}
-void BM_CountFieldBigInt(benchmark::State& state) {
-  FieldBench<BigIntField>(state);
-}
-void BM_CountFieldMod(benchmark::State& state) {
-  FieldBench<ModField<1000000007>>(state);
-}
-void BM_CountFieldInt64(benchmark::State& state) {
-  FieldBench<Int64Field>(state);
-}
-void BM_CountFieldDouble(benchmark::State& state) {
-  FieldBench<DoubleField>(state);
-}
-BENCHMARK(BM_CountFieldBigInt)->Arg(1 << 14)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CountFieldMod)->Arg(1 << 14)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CountFieldInt64)->Arg(1 << 14)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CountFieldDouble)->Arg(1 << 14)->Unit(benchmark::kMillisecond);
-
 /// Weighted aggregation (the #F-ACQ generalization): weights w(v) = v.
 void BM_WeightedAggregation(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -93,7 +58,7 @@ void BM_WeightedAggregation(benchmark::State& state) {
   ConjunctiveQuery q = FullPathQuery(3);
   auto w = [](Value v) { return static_cast<double>(v) * 1e-3; };
   for (auto _ : state) {
-    auto c = WeightedCountAcq0<DoubleField>(q, db, w);
+    auto c = WeightedCountAcq(q, db, w);
     if (!c.ok()) state.SkipWithError(c.status().ToString().c_str());
     benchmark::DoNotOptimize(c);
   }

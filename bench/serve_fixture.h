@@ -32,9 +32,9 @@ inline PlanKey LegacyPlanKey(const ConjunctiveQuery& q, const Database& db,
 /// Replaces the entry under `key` by a copy of its preparation with an
 /// empty aggregate memo. False when no entry is cached under `key`.
 inline bool ForgetAggregates(QueryService& service, const PlanKey& key) {
-  std::shared_ptr<const CachedPlan> entry = service.cache().Get(key);
+  std::shared_ptr<const PreparedQuery> entry = service.cache().Get(key);
   if (entry == nullptr) return false;
-  auto fresh = std::make_shared<CachedPlan>();
+  auto fresh = std::make_shared<PreparedQuery>();
   fresh->classification = entry->classification;
   fresh->algorithm = entry->algorithm;
   fresh->plan = entry->plan;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fgq/eval/oracle.h"
 #include "fgq/eval/yannakakis.h"
 #include "fgq/hypergraph/star_size.h"
 
@@ -28,7 +27,8 @@ std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
 /// `scratch`.
 Result<ConjunctiveQuery> MaterializeAcqComponents(const ConjunctiveQuery& q,
                                                   const Database& db,
-                                                  Database* scratch) {
+                                                  Database* scratch,
+                                                  const ExecContext& ctx) {
   Hypergraph hg = Hypergraph::FromQuery(q);
   std::vector<int> s_ids;
   for (const std::string& v : q.head()) {
@@ -60,7 +60,7 @@ Result<ConjunctiveQuery> MaterializeAcqComponents(const ConjunctiveQuery& q,
     for (int e : comp.edges) {
       sub.AddAtom(q.atoms()[hg.EdgeLabel(e)]);
     }
-    FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateYannakakis(sub, db));
+    FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateYannakakis(sub, db, ctx));
     std::string rel_name = "__" + q.name() + "_comp" + std::to_string(comp_id);
     res.set_name(rel_name);
     scratch->PutRelation(std::move(res));
@@ -88,29 +88,48 @@ Database MergeAcqViews(const Database& db, const Database& scratch) {
 
 namespace {
 
-/// Runs the generic DP for one semiring instance, wrapping the carrier
-/// into a SemiringValue.
-template <typename S, typename Wrap>
-Result<SemiringValue> RunSemiringDp(const ConjunctiveQuery& q,
-                                    const Database& db, const S& s,
-                                    Wrap wrap) {
+/// The DP for any acyclic `q` under instance `s`: directly when
+/// quantifier-free, else over the S-component rewrite.
+template <typename S>
+Result<typename S::ValueType> SumAcq(const ConjunctiveQuery& q,
+                                     const Database& db, const S& s,
+                                     const ExecContext& ctx) {
   if (q.ExistentialVariables().empty()) {
-    FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SemiringSumAcq0(q, db, s));
-    return wrap(std::move(v));
+    return SemiringSumAcq0(q, db, s, ctx.cancel());
   }
   Database scratch;
   FGQ_ASSIGN_OR_RETURN(ConjunctiveQuery qf,
-                       MaterializeAcqComponents(q, db, &scratch));
+                       MaterializeAcqComponents(q, db, &scratch, ctx));
   Database merged = MergeAcqViews(db, scratch);
   if (!IsAcyclicQuery(qf)) {
     return Status::Internal(
         "S-component materialization produced a cyclic query for: " +
         q.ToString());
   }
-  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v,
-                       SemiringSumAcq0(qf, merged, s));
+  return SemiringSumAcq0(qf, merged, s, ctx.cancel());
+}
+
+/// SumAcq for one registered instance, wrapping the carrier into a
+/// SemiringValue.
+template <typename S, typename Wrap>
+Result<SemiringValue> RunSemiringDp(const ConjunctiveQuery& q,
+                                    const Database& db, const S& s,
+                                    const ExecContext& ctx, Wrap wrap) {
+  FGQ_ASSIGN_OR_RETURN(typename S::ValueType v, SumAcq(q, db, s, ctx));
   return wrap(std::move(v));
 }
+
+/// (+, ×) over doubles with caller-supplied element weights: the
+/// real-valued #F-ACQ instance behind WeightedCountAcq.
+struct RealSemiring {
+  using ValueType = double;
+  const std::function<double(Value)>& weight;
+  double Zero() const { return 0.0; }
+  double One() const { return 1.0; }
+  double Plus(double a, double b) const { return a + b; }
+  double Times(double a, double b) const { return a * b; }
+  double Weight(Value v) const { return weight(v); }
+};
 
 /// First-occurrence head positions: the columns of the answer relation
 /// whose variable appears for the first time at that head index.
@@ -147,7 +166,8 @@ SemiringValue FoldRows(const Relation& answers, const S& s,
 }  // namespace
 
 Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
-                                     const Database& db, SemiringId id) {
+                                     const Database& db, SemiringId id,
+                                     const ExecContext& ctx) {
   FGQ_RETURN_NOT_OK(q.Validate());
   if (q.HasNegation() || !q.comparisons().empty()) {
     return Status::Unsupported("SemiringSumAcq handles plain ACQ");
@@ -157,20 +177,20 @@ Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
   }
   switch (id) {
     case SemiringId::kCounting:
-      return RunSemiringDp(q, db, CountingSemiring{},
+      return RunSemiringDp(q, db, CountingSemiring{}, ctx,
                            [](BigInt v) { return SemiringValue::Counting(std::move(v)); });
     case SemiringId::kBoolean:
-      return RunSemiringDp(q, db, BooleanSemiring{},
+      return RunSemiringDp(q, db, BooleanSemiring{}, ctx,
                            [](bool v) { return SemiringValue::Boolean(v); });
     case SemiringId::kMinPlus:
-      return RunSemiringDp(q, db, MinPlusSemiring{},
+      return RunSemiringDp(q, db, MinPlusSemiring{}, ctx,
                            [](int64_t v) { return SemiringValue::MinPlus(v); });
     case SemiringId::kMaxMin:
-      return RunSemiringDp(q, db, MaxMinSemiring{},
+      return RunSemiringDp(q, db, MaxMinSemiring{}, ctx,
                            [](int64_t v) { return SemiringValue::MaxMin(v); });
     case SemiringId::kTopK:
       return RunSemiringDp(
-          q, db, TopKSemiring(kTopKWireK),
+          q, db, TopKSemiring(kTopKWireK), ctx,
           [](std::vector<int64_t> v) { return SemiringValue::TopK(std::move(v)); });
   }
   return Status::InvalidArgument("unknown semiring id");
@@ -208,50 +228,15 @@ Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
 }
 
 Result<BigInt> CountAcq(const ConjunctiveQuery& q, const Database& db) {
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (q.HasNegation() || !q.comparisons().empty()) {
-    return Status::Unsupported("CountAcq handles plain ACQ");
-  }
-  if (!IsAcyclicQuery(q)) {
-    return Status::InvalidArgument("query is not acyclic: " + q.ToString());
-  }
-  auto ones = [](Value) { return BigInt(1); };
-  if (q.ExistentialVariables().empty()) {
-    return WeightedCountAcq0<BigIntField>(q, db, ones);
-  }
-  Database scratch;
-  FGQ_ASSIGN_OR_RETURN(ConjunctiveQuery qf,
-                       MaterializeAcqComponents(q, db, &scratch));
-  Database merged = MergeAcqViews(db, scratch);
-  if (!IsAcyclicQuery(qf)) {
-    return Status::Internal(
-        "S-component materialization produced a cyclic query for: " +
-        q.ToString());
-  }
-  return WeightedCountAcq0<BigIntField>(qf, merged, ones);
+  FGQ_ASSIGN_OR_RETURN(SemiringValue v,
+                       SemiringSumAcq(q, db, SemiringId::kCounting));
+  return std::move(v.count);
 }
 
 Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
                                 const std::function<double(Value)>& weight) {
   FGQ_RETURN_NOT_OK(q.Validate());
-  if (q.ExistentialVariables().empty()) {
-    return WeightedCountAcq0<DoubleField>(q, db, weight);
-  }
-  Database scratch;
-  FGQ_ASSIGN_OR_RETURN(ConjunctiveQuery qf,
-                       MaterializeAcqComponents(q, db, &scratch));
-  Database merged = MergeAcqViews(db, scratch);
-  return WeightedCountAcq0<DoubleField>(qf, merged, weight);
-}
-
-Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db) {
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (!q.HasNegation() && q.comparisons().empty() && IsAcyclicQuery(q)) {
-    return CountAcq(q, db);
-  }
-  // Exponential fallback: materialize with the oracle.
-  FGQ_ASSIGN_OR_RETURN(Relation res, EvaluateBacktrack(q, db));
-  return BigInt::FromUint64(res.NumTuples());
+  return SumAcq(q, db, RealSemiring{weight}, ExecContext());
 }
 
 }  // namespace fgq

@@ -7,28 +7,30 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fgq/count/fields.h"
 #include "fgq/count/semiring.h"
 #include "fgq/db/database.h"
 #include "fgq/eval/prepared.h"
 #include "fgq/hypergraph/hypergraph.h"
 #include "fgq/query/cq.h"
+#include "fgq/util/cancel.h"
+#include "fgq/util/exec_options.h"
 #include "fgq/util/hash.h"
 #include "fgq/util/status.h"
 
 /// \file acq_count.h
-/// Counting and weighted counting of ACQ answers (Section 4.4).
+/// Counting and weighted counting of ACQ answers (Section 4.4), as
+/// instances of one sum-product DP over a commutative semiring.
 ///
-/// * WeightedCountAcq0 — Theorem 4.21: for quantifier-free acyclic
+/// * SemiringSumAcq0 — Theorem 4.21: for quantifier-free acyclic
 ///   queries, a single bottom-up dynamic program over the join tree sums
 ///   the product-of-weights of all answers. Each variable is "owned" by
 ///   its highest join-tree node so its weight is multiplied exactly once;
 ///   per-child aggregate maps make the pass O(||phi|| * ||D||) (within the
 ///   paper's O(||phi|| * ||D||^2) bound).
-/// * CountAcq — Theorem 4.28: for quantified acyclic queries, each
-///   S-component is materialized onto its free variables (cost
-///   ||D||^O(star size)) and the resulting quantifier-free acyclic query
-///   is counted with the DP. Star size 1 keeps the whole pipeline
+/// * SemiringSumAcq / CountAcq — Theorem 4.28: for quantified acyclic
+///   queries, each S-component is materialized onto its free variables
+///   (cost ||D||^O(star size)) and the resulting quantifier-free acyclic
+///   query runs through the DP. Star size 1 keeps the whole pipeline
 ///   linear; unbounded star size is #W[1]-hard (the lower bound is
 ///   exercised by the perfect-matching reduction in matchings.h).
 
@@ -40,134 +42,19 @@ namespace fgq {
 std::vector<size_t> SharedColumnOrder(const PreparedAtom& node,
                                       const PreparedAtom& parent);
 
-/// Weighted counting for quantifier-free acyclic conjunctive queries.
-/// `weight` maps a domain element to its field weight; an answer weighs
-/// the product over its head positions. All variables must be free.
-template <typename Field>
-Result<typename Field::ValueType> WeightedCountAcq0(
-    const ConjunctiveQuery& q, const Database& db,
-    const std::function<typename Field::ValueType(Value)>& weight) {
-  using V = typename Field::ValueType;
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (q.HasNegation() || !q.comparisons().empty()) {
-    return Status::Unsupported("counting DP handles plain ACQ");
-  }
-  if (!q.ExistentialVariables().empty()) {
-    return Status::InvalidArgument(
-        "WeightedCountAcq0 requires a quantifier-free query; use CountAcq");
-  }
-  Hypergraph hg = Hypergraph::FromQuery(q);
-  GyoResult gyo = GyoReduce(hg);
-  if (!gyo.acyclic) {
-    return Status::InvalidArgument("query is not acyclic: " + q.ToString());
-  }
-  FGQ_ASSIGN_OR_RETURN(std::vector<PreparedAtom> atoms, PrepareAtoms(q, db));
-
-  // Depth of each node, to assign each variable to its highest node.
-  std::vector<int> order = gyo.tree.TopDownOrder();
-  std::vector<size_t> depth(atoms.size(), 0);
-  for (int e : order) {
-    if (gyo.tree.parent[e] >= 0) depth[e] = depth[gyo.tree.parent[e]] + 1;
-  }
-  std::map<std::string, int> owner;
-  for (size_t e = 0; e < atoms.size(); ++e) {
-    for (const std::string& v : atoms[e].vars) {
-      auto it = owner.find(v);
-      if (it == owner.end() || depth[e] < depth[it->second]) {
-        owner[v] = static_cast<int>(e);
-      }
-    }
-  }
-
-  // Bottom-up DP. child_sums[e]: connector key -> sum of W over matching
-  // tuples of e.
-  std::vector<std::unordered_map<Tuple, V, VecHash>> child_sums(atoms.size());
-  for (int e : gyo.tree.BottomUpOrder()) {
-    const PreparedAtom& a = atoms[e];
-    // Connector columns to the parent, in canonical (name-sorted) order so
-    // that the parent's probe keys align with this node's aggregate keys.
-    std::vector<size_t> conn_cols;
-    int p = gyo.tree.parent[e];
-    if (p >= 0) conn_cols = SharedColumnOrder(a, atoms[p]);
-    // Owned columns of this node.
-    std::vector<size_t> owned_cols;
-    for (size_t c = 0; c < a.vars.size(); ++c) {
-      if (owner[a.vars[c]] == e) owned_cols.push_back(c);
-    }
-    // Connector columns to each child (pairs aligned with children).
-    struct ChildConn {
-      int child;
-      std::vector<size_t> cols;  // Columns of *this* node.
-    };
-    std::vector<ChildConn> child_conns;
-    for (int c : gyo.tree.children[e]) {
-      ChildConn cc;
-      cc.child = c;
-      // Same canonical order as the child used when keying its aggregate.
-      std::vector<size_t> child_side = SharedColumnOrder(atoms[c], a);
-      for (size_t j : child_side) {
-        cc.cols.push_back(
-            static_cast<size_t>(a.VarIndex(atoms[c].vars[j])));
-      }
-      child_conns.push_back(std::move(cc));
-    }
-    auto& sums = child_sums[e];
-    Tuple key(conn_cols.size());
-    Tuple ckey;
-    V total_root = Field::Zero();
-    // Hoisted column base pointers: every cell read below goes straight to
-    // the columnar store (row-major views no longer exist).
-    std::vector<const Value*> cols(a.rel.arity());
-    for (size_t c = 0; c < a.rel.arity(); ++c) cols[c] = a.rel.Column(c);
-    for (size_t r = 0; r < a.rel.NumTuples(); ++r) {
-      V w = Field::One();
-      for (size_t c : owned_cols) w = Field::Mul(w, weight(cols[c][r]));
-      bool dead = false;
-      for (const ChildConn& cc : child_conns) {
-        ckey.resize(cc.cols.size());
-        for (size_t j = 0; j < cc.cols.size(); ++j) {
-          ckey[j] = cols[cc.cols[j]][r];
-        }
-        auto it = child_sums[cc.child].find(ckey);
-        if (it == child_sums[cc.child].end()) {
-          dead = true;
-          break;
-        }
-        w = Field::Mul(w, it->second);
-      }
-      if (dead) continue;
-      if (p < 0) {
-        total_root = Field::Add(total_root, w);
-      } else {
-        for (size_t j = 0; j < conn_cols.size(); ++j) {
-          key[j] = cols[conn_cols[j]][r];
-        }
-        auto [it, inserted] = sums.try_emplace(key, w);
-        if (!inserted) it->second = Field::Add(it->second, w);
-      }
-    }
-    if (p < 0) {
-      // Root: done. Free the children's maps implicitly on return.
-      return total_root;
-    }
-    // Release children's maps early.
-    for (const ChildConn& cc : child_conns) {
-      child_sums[cc.child] = {};
-    }
-  }
-  return Status::Internal("join tree had no root");
-}
+/// Rows the sum-product DP scans between two polls of its cancel token.
+inline constexpr size_t kDpPollRows = 1024;
 
 /// Sum-product over an arbitrary commutative semiring instance for
-/// quantifier-free acyclic conjunctive queries — the generalization of
-/// WeightedCountAcq0 from fields to semirings (Fan–Koutris–Zhao style;
-/// see semiring.h for the semantics contract). Identical join-tree DP:
-/// each variable is owned by its highest node and weighted exactly once
-/// (at its first column there, so R(x,x) weighs x once), per-child
-/// aggregate maps keep the pass O(||phi|| * ||D||).
+/// quantifier-free acyclic conjunctive queries (Fan–Koutris–Zhao style;
+/// see semiring.h for the semantics contract): each variable is owned by
+/// its highest join-tree node and weighted exactly once (at its first
+/// column there, so R(x,x) weighs x once), per-child aggregate maps keep
+/// the pass O(||phi|| * ||D||). Polls `cancel` every kDpPollRows rows.
 template <typename S>
-Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
-                                              const Database& db, const S& s) {
+Result<typename S::ValueType> SemiringSumAcq0(
+    const ConjunctiveQuery& q, const Database& db, const S& s,
+    const CancelToken& cancel = CancelToken()) {
   using V = typename S::ValueType;
   FGQ_RETURN_NOT_OK(q.Validate());
   if (q.HasNegation() || !q.comparisons().empty()) {
@@ -238,6 +125,9 @@ Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
     std::vector<const Value*> cols(a.rel.arity());
     for (size_t c = 0; c < a.rel.arity(); ++c) cols[c] = a.rel.Column(c);
     for (size_t r = 0; r < a.rel.NumTuples(); ++r) {
+      if (r % kDpPollRows == 0 && cancel.cancelled()) {
+        return cancel.Check("sum-product DP");
+      }
       V w = s.One();
       for (size_t c : owned_cols) w = s.Times(w, s.Weight(cols[c][r]));
       bool dead = false;
@@ -279,19 +169,19 @@ Result<typename S::ValueType> SemiringSumAcq0(const ConjunctiveQuery& q,
 /// Fresh component relations are added to `scratch`; evaluate the
 /// returned query against MergeAcqViews(db, *scratch). Shared by the
 /// counting and semiring sum-product pipelines.
-Result<ConjunctiveQuery> MaterializeAcqComponents(const ConjunctiveQuery& q,
-                                                  const Database& db,
-                                                  Database* scratch);
+Result<ConjunctiveQuery> MaterializeAcqComponents(
+    const ConjunctiveQuery& q, const Database& db, Database* scratch,
+    const ExecContext& ctx = ExecContext());
 
 /// A view containing both the original and the materialized relations.
 Database MergeAcqViews(const Database& db, const Database& scratch);
 
 /// Sum-product for any acyclic conjunctive query under the registered
 /// semiring `id` (quantified queries go through the S-component
-/// pipeline first). kCounting is served by this generic DP too; the
-/// Engine usually routes it to the fused counting path instead.
+/// pipeline first). Honours ctx's cancel token in both stages.
 Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
-                                     const Database& db, SemiringId id);
+                                     const Database& db, SemiringId id,
+                                     const ExecContext& ctx = ExecContext());
 
 /// Folds a materialized answer relation into the semiring aggregate:
 /// ⊕ over rows of (⊗ over first-occurrence head columns of the weight).
@@ -303,17 +193,15 @@ Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
                                           SemiringId id);
 
 /// Exact answer counting for any acyclic conjunctive query (Theorem
-/// 4.28): linear for quantifier-star-size 1, ||D||^O(s) in general.
+/// 4.28): SemiringSumAcq under kCounting. Linear for
+/// quantifier-star-size 1, ||D||^O(s) in general.
 Result<BigInt> CountAcq(const ConjunctiveQuery& q, const Database& db);
 
-/// Weighted counting for quantified acyclic queries via the S-component
-/// pipeline (weights apply to head positions, Section 4.4's #F-ACQ).
+/// Weighted counting over the reals for acyclic queries (Section 4.4's
+/// #F-ACQ): the DP under (+, ×) on doubles, an answer weighing the product
+/// of `weight` over its distinct head variables.
 Result<double> WeightedCountAcq(const ConjunctiveQuery& q, const Database& db,
                                 const std::function<double(Value)>& weight);
-
-/// Counts answers of an arbitrary CQ: DP/star-size pipeline when acyclic,
-/// exponential backtracking fallback otherwise (oracle use only).
-Result<BigInt> CountAnswers(const ConjunctiveQuery& q, const Database& db);
 
 }  // namespace fgq
 

@@ -48,8 +48,8 @@
 /// the edge).
 ///
 /// Instances are value types with *instance* methods (TopK carries its
-/// k), unlike the static Field structs in fields.h that the legacy
-/// weighted-counting entry points keep using.
+/// k; the real-valued instance behind WeightedCountAcq carries its weight
+/// function).
 
 namespace fgq {
 
@@ -105,10 +105,9 @@ struct BooleanSemiring {
   ValueType Weight(Value) const { return true; }
 };
 
-/// (+, ×) over exact integers. The engine routes this id through the
-/// existing fused counting path (CountAnswers / vm::RunCount); this
-/// instance exists so the generalized DP and the differ can cross-check
-/// that path against the generic one.
+/// (+, ×) over exact integers: the counting DP (CountAcq, Engine::Count)
+/// runs under this instance; compiled entries count with the fused
+/// vm::RunCount stream instead.
 struct CountingSemiring {
   using ValueType = BigInt;
   static constexpr SemiringId kId = SemiringId::kCounting;

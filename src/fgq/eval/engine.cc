@@ -6,12 +6,12 @@
 #include "fgq/db/snapshot.h"
 #include "fgq/eval/diseq.h"
 #include "fgq/eval/oracle.h"
+#include "fgq/eval/prepared_query.h"
 #include "fgq/eval/yannakakis.h"
 #include "fgq/hypergraph/hypergraph.h"
 #include "fgq/query/term.h"
 #include "fgq/trace/trace.h"
 #include "fgq/vm/compile.h"
-#include "fgq/vm/vm.h"
 
 namespace fgq {
 
@@ -87,6 +87,24 @@ QueryClass Engine::Classify(const ConjunctiveQuery& q) {
   return QueryClass::kGeneralAcyclic;
 }
 
+bool Engine::Compiles(QueryClass c, ExecTier tier) {
+  switch (c) {
+    case QueryClass::kBooleanAcyclic:
+    case QueryClass::kFreeConnexAcyclic:
+      // The compiled stream is bit-identical to the plan cursor's.
+      return tier != ExecTier::kInterpret;
+    case QueryClass::kAcyclicDisequalities:
+      // Same answer set as witness elimination, possibly another order.
+      return tier == ExecTier::kCompile;
+    case QueryClass::kGeneralAcyclic:
+    case QueryClass::kAcyclicOrderComparisons:
+    case QueryClass::kNegated:
+    case QueryClass::kCyclic:
+      return false;
+  }
+  return false;
+}
+
 ExecContext Engine::ContextFor(const ExecRequest& req) const {
   // Start from the engine's shared context (its pool); only a per-call
   // ExecOptions override that actually differs forces a fresh pool.
@@ -99,195 +117,7 @@ ExecContext Engine::ContextFor(const ExecRequest& req) const {
   return ctx;
 }
 
-Result<ExecResult> Engine::Run(const ExecRequest& req) const {
-  const Database* db = req.EffectiveDb();
-  if (req.query == nullptr || db == nullptr) {
-    return Status::InvalidArgument("ExecRequest needs a query and a database");
-  }
-  return ExecuteWith(*req.query, *db, ContextFor(req), req.tier);
-}
-
-Result<QueryResult> Engine::ExecuteWith(const ConjunctiveQuery& q,
-                                        const Database& db,
-                                        const ExecContext& ctx,
-                                        ExecTier tier) const {
-  FGQ_RETURN_NOT_OK(q.Validate());
-  QueryResult res;
-  res.classification = Classify(q);
-  TraceSpan span(ctx.trace(), "engine.execute", "engine");
-  if (ctx.trace() != nullptr) {
-    span.Arg("query", q.name());
-    span.Arg("class", QueryClassName(res.classification));
-  }
-  switch (res.classification) {
-    case QueryClass::kBooleanAcyclic: {
-      // The semijoin sweep is already a single pass; only an explicit
-      // kCompile routes the Boolean class through the VM.
-      if (tier == ExecTier::kCompile) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
-        if (comp.ok()) {
-          FGQ_ASSIGN_OR_RETURN(
-              uint64_t sat,
-              vm::RunCount(*comp.program, ctx.cancel(), ctx.trace()));
-          res.answers = Relation(q.name(), 0);
-          if (sat > 0) res.answers.AddNullary();
-          res.algorithm = comp.program->algorithm;
-          span.Arg("algorithm", res.algorithm);
-          return res;
-        }
-      }
-      FGQ_ASSIGN_OR_RETURN(bool sat, EvaluateBooleanAcq(q, db, ctx));
-      res.answers = Relation(q.name(), 0);
-      if (sat) res.answers.AddNullary();
-      res.algorithm = "boolean-semijoin-sweep";
-      span.Arg("algorithm", res.algorithm);
-      return res;
-    }
-    case QueryClass::kFreeConnexAcyclic: {
-      // The compiled stream is bit-identical to PlanCursorEnumerator's,
-      // so any tier but kInterpret may take it.
-      if (tier != ExecTier::kInterpret) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
-        if (comp.ok()) {
-          auto cursor = vm::MakeProgramCursor(comp.program, ctx.trace());
-          {
-            TraceSpan drain(ctx.trace(), "enumerate");
-            res.answers = DrainEnumerator(cursor.get(), q.name(), q.arity());
-          }
-          TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-          res.algorithm = comp.program->algorithm;
-          span.Arg("algorithm", res.algorithm);
-          return res;
-        }
-      }
-      FGQ_ASSIGN_OR_RETURN(auto e, MakeConstantDelayEnumerator(q, db, ctx));
-      {
-        TraceSpan drain(ctx.trace(), "enumerate");
-        res.answers = DrainEnumerator(e.get(), q.name(), q.arity());
-      }
-      TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-      res.algorithm = "constant-delay-enumeration";
-      span.Arg("algorithm", res.algorithm);
-      return res;
-    }
-    case QueryClass::kGeneralAcyclic: {
-      FGQ_ASSIGN_OR_RETURN(res.answers, EvaluateYannakakis(q, db, ctx));
-      TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-      res.algorithm = "yannakakis";
-      span.Arg("algorithm", res.algorithm);
-      return res;
-    }
-    case QueryClass::kAcyclicDisequalities: {
-      // Same answer *set* as witness elimination but possibly a different
-      // order: opt-in via kCompile only. CompileQuery reports a fallback
-      // for quantified disequalities and non-free-connex strips.
-      if (tier == ExecTier::kCompile) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
-        if (comp.ok()) {
-          auto cursor = vm::MakeProgramCursor(comp.program, ctx.trace());
-          {
-            TraceSpan drain(ctx.trace(), "enumerate");
-            res.answers = DrainEnumerator(cursor.get(), q.name(), q.arity());
-          }
-          TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-          res.algorithm = comp.program->algorithm;
-          span.Arg("algorithm", res.algorithm);
-          return res;
-        }
-      }
-      {
-        TraceSpan neq(ctx.trace(), "neq_witness_elimination");
-        FGQ_ASSIGN_OR_RETURN(res.answers, EvaluateAcqNeq(q, db));
-      }
-      TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-      res.algorithm = "neq-witness-elimination";
-      span.Arg("algorithm", res.algorithm);
-      return res;
-    }
-    case QueryClass::kAcyclicOrderComparisons:
-    case QueryClass::kNegated:
-    case QueryClass::kCyclic: {
-      {
-        TraceSpan oracle(ctx.trace(), "oracle.backtrack");
-        FGQ_ASSIGN_OR_RETURN(res.answers,
-                             EvaluateBacktrack(q, db, ctx.cancel()));
-      }
-      TraceCounter(ctx.trace(), "tuples_emitted", res.answers.NumTuples());
-      res.algorithm = "backtracking-oracle";
-      span.Arg("algorithm", res.algorithm);
-      return res;
-    }
-  }
-  return Status::Internal("unhandled query class");
-}
-
-Result<BigInt> Engine::Count(const ExecRequest& req) const {
-  const Database* db = req.EffectiveDb();
-  if (req.query == nullptr || db == nullptr) {
-    return Status::InvalidArgument("ExecRequest needs a query and a database");
-  }
-  FGQ_RETURN_NOT_OK(req.query->Validate());
-  // CountAnswers already dispatches: counting DP (Theorems 4.21/4.28) for
-  // plain acyclic queries, oracle fallback for everything else.
-  return CountAnswers(*req.query, *db);
-}
-
-Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
-  const Database* db = req.EffectiveDb();
-  if (req.query == nullptr || db == nullptr) {
-    return Status::InvalidArgument("ExecRequest needs a query and a database");
-  }
-  const ConjunctiveQuery& q = *req.query;
-  FGQ_RETURN_NOT_OK(q.Validate());
-  if (req.semiring == SemiringId::kCounting) {
-    // The fused counting path (CountAnswers / vm::RunCount downstream of
-    // the service) is the fast (+,×) instantiation; keep it canonical.
-    FGQ_ASSIGN_OR_RETURN(BigInt c, Count(req));
-    return SemiringValue::Counting(std::move(c));
-  }
-  const QueryClass cls = Classify(q);
-  const ExecContext ctx = ContextFor(req);
-  TraceSpan span(ctx.trace(), "engine.sum_product", "engine");
-  if (ctx.trace() != nullptr) {
-    span.Arg("query", q.name());
-    span.Arg("semiring", SemiringName(req.semiring));
-  }
-  switch (cls) {
-    case QueryClass::kBooleanAcyclic:
-    case QueryClass::kFreeConnexAcyclic: {
-      // Same tier gates as Run: Boolean compiles only on explicit
-      // kCompile, free-connex on anything but kInterpret.
-      const bool try_vm = cls == QueryClass::kBooleanAcyclic
-                              ? req.tier == ExecTier::kCompile
-                              : req.tier != ExecTier::kInterpret;
-      if (try_vm) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp, vm::CompileQuery(q, *db, ctx));
-        if (comp.ok()) {
-          return vm::RunSemiring(*comp.program, req.semiring, ctx.cancel(),
-                                 ctx.trace());
-        }
-      }
-      return SemiringSumAcq(q, *db, req.semiring);
-    }
-    case QueryClass::kGeneralAcyclic:
-      return SemiringSumAcq(q, *db, req.semiring);
-    case QueryClass::kAcyclicDisequalities:
-    case QueryClass::kAcyclicOrderComparisons:
-    case QueryClass::kNegated:
-    case QueryClass::kCyclic: {
-      // Outside the DP's class: materialize the (distinct) answer set and
-      // fold it — the same reference semantics the differ checks.
-      FGQ_ASSIGN_OR_RETURN(ExecResult res, Run(req));
-      return FoldAnswersSemiring(q, res.answers, req.semiring);
-    }
-  }
-  return Status::Internal("unhandled query class");
-}
-
-Result<std::unique_ptr<AnswerEnumerator>> Engine::Enumerate(
+Result<std::shared_ptr<const PreparedQuery>> Engine::Prepare(
     const ExecRequest& req) const {
   const Database* dbp = req.EffectiveDb();
   if (req.query == nullptr || dbp == nullptr) {
@@ -297,50 +127,156 @@ Result<std::unique_ptr<AnswerEnumerator>> Engine::Enumerate(
   const Database& db = *dbp;
   FGQ_RETURN_NOT_OK(q.Validate());
   const ExecContext ctx = ContextFor(req);
-  switch (Classify(q)) {
+  auto entry = std::make_shared<PreparedQuery>();
+  entry->classification = Classify(q);
+  TraceSpan span(ctx.trace(), "engine.prepare", "engine");
+  if (ctx.trace() != nullptr) {
+    span.Arg("query", q.name());
+    span.Arg("class", QueryClassName(entry->classification));
+  }
+  const bool compile = Compiles(entry->classification, req.tier);
+  Result<Relation> answers = Status::Internal("unhandled query class");
+  switch (entry->classification) {
     case QueryClass::kBooleanAcyclic:
     case QueryClass::kFreeConnexAcyclic: {
-      // Constant-delay territory. The VM cursor and the interpreter's
-      // plan cursor emit the same stream here; serve a program cursor
-      // unless the caller pinned the interpreter.
-      if (req.tier != ExecTier::kInterpret) {
-        FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
-                             vm::CompileQuery(q, db, ctx));
+      // The Theorem 4.6 preprocessing; cursors over it run per call.
+      FGQ_ASSIGN_OR_RETURN(FreeConnexPlan fc, BuildFreeConnexPlan(q, db, ctx));
+      FGQ_ASSIGN_OR_RETURN(entry->plan,
+                           IndexFreeConnexPlan(std::move(fc), q.head(), ctx));
+      entry->algorithm =
+          entry->classification == QueryClass::kBooleanAcyclic
+              ? "boolean-semijoin-sweep"
+              : "constant-delay-enumeration";
+      if (compile) {
+        vm::Compilation comp = vm::CompilePlan(entry->plan, q, ctx.trace());
         if (comp.ok()) {
-          return PinEnumerator(vm::MakeProgramCursor(comp.program, ctx.trace()),
-                               req.snapshot);
+          entry->program = comp.program;
+          entry->algorithm = comp.program->algorithm;
         }
       }
-      return PinEnumerator(MakeConstantDelayEnumerator(q, db, ctx),
-                           req.snapshot);
+      break;
     }
     case QueryClass::kGeneralAcyclic:
-      return PinEnumerator(MakeLinearDelayEnumerator(q, db, ctx),
-                           req.snapshot);
+      answers = EvaluateYannakakis(q, db, ctx);
+      entry->algorithm = "yannakakis";
+      break;
     case QueryClass::kAcyclicDisequalities: {
-      // kCompile opt-in: post-emit kCheckNeq filters keep constant memory
-      // but may reorder relative to witness elimination.
-      if (req.tier == ExecTier::kCompile) {
+      // Head-only disequalities over a free-connex strip compile to the
+      // stripped plan plus post-emit filters; CompileQuery declines every
+      // other shape, which witness elimination then serves.
+      if (compile) {
         FGQ_ASSIGN_OR_RETURN(vm::Compilation comp,
                              vm::CompileQuery(q, db, ctx));
         if (comp.ok()) {
-          return PinEnumerator(vm::MakeProgramCursor(comp.program, ctx.trace()),
-                               req.snapshot);
+          entry->program = comp.program;
+          entry->algorithm = comp.program->algorithm;
+          break;
         }
       }
-      // Theorem 4.20's fast path needs a specific shape; fall back to
-      // materializing when it declines.
-      Result<std::unique_ptr<AnswerEnumerator>> e = MakeNeqEnumerator(q, db);
-      if (e.ok()) return PinEnumerator(std::move(e), req.snapshot);
+      TraceSpan neq(ctx.trace(), "neq_witness_elimination");
+      answers = EvaluateAcqNeq(q, db);
+      entry->algorithm = "neq-witness-elimination";
       break;
     }
-    default:
+    case QueryClass::kAcyclicOrderComparisons:
+    case QueryClass::kNegated:
+    case QueryClass::kCyclic: {
+      TraceSpan oracle(ctx.trace(), "oracle.backtrack");
+      answers = EvaluateBacktrack(q, db, ctx.cancel());
+      entry->algorithm = "backtracking-oracle";
       break;
+    }
   }
-  // The materialized path copies the answers out of the database, so the
-  // replay cursor owns its data and needs no pin.
-  FGQ_ASSIGN_OR_RETURN(ExecResult res, Run(req));
-  return MakeMaterializedEnumerator(std::move(res.answers));
+  if (entry->plan == nullptr && entry->program == nullptr) {
+    if (!answers.ok()) return answers.status();
+    TraceCounter(ctx.trace(), "tuples_emitted", answers->NumTuples());
+    entry->answers =
+        std::make_shared<const Relation>(std::move(answers).value());
+  }
+  span.Arg("algorithm", entry->algorithm);
+  return std::shared_ptr<const PreparedQuery>(std::move(entry));
+}
+
+Result<ExecResult> Engine::Run(const ExecRequest& req) const {
+  TraceSpan span(req.trace, "engine.execute", "engine");
+  FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> entry,
+                       Prepare(req));
+  FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> answers,
+                       entry->Stream(*req.query, 0, req.cancel, req.trace));
+  ExecResult res;
+  res.classification = entry->classification;
+  res.algorithm = entry->algorithm;
+  res.answers = *answers;
+  // A cursor streams in plan order; materialized answers are already sets.
+  if (entry->answers == nullptr) res.answers.SortDedup();
+  if (req.trace != nullptr) {
+    span.Arg("query", req.query->name());
+    span.Arg("class", QueryClassName(res.classification));
+    span.Arg("algorithm", res.algorithm);
+  }
+  return res;
+}
+
+Result<BigInt> Engine::Count(const ExecRequest& req) const {
+  ExecRequest counting = req;
+  counting.semiring = SemiringId::kCounting;
+  FGQ_ASSIGN_OR_RETURN(SemiringValue v, SumProduct(counting));
+  return std::move(v.count);
+}
+
+Result<SemiringValue> Engine::SumProduct(const ExecRequest& req) const {
+  const Database* db = req.EffectiveDb();
+  if (req.query == nullptr || db == nullptr) {
+    return Status::InvalidArgument("ExecRequest needs a query and a database");
+  }
+  const ConjunctiveQuery& q = *req.query;
+  FGQ_RETURN_NOT_OK(q.Validate());
+  const QueryClass cls = Classify(q);
+  const ExecContext ctx = ContextFor(req);
+  TraceSpan span(ctx.trace(), "engine.sum_product", "engine");
+  if (ctx.trace() != nullptr) {
+    span.Arg("query", q.name());
+    span.Arg("semiring", SemiringName(req.semiring));
+  }
+  const bool plain_acyclic = cls == QueryClass::kBooleanAcyclic ||
+                             cls == QueryClass::kFreeConnexAcyclic ||
+                             cls == QueryClass::kGeneralAcyclic;
+  // The join-tree DP is O(||D||) at star size 1 and materializes nothing;
+  // only a compiled fold beats it, and for counting not even that (the
+  // compiled count stream grows with the number of answers).
+  if (plain_acyclic &&
+      (req.semiring == SemiringId::kCounting || !Compiles(cls, req.tier))) {
+    return SemiringSumAcq(q, *db, req.semiring, ctx);
+  }
+  FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> entry,
+                       Prepare(req));
+  return entry->Aggregate(q, req.semiring, req.cancel, req.trace);
+}
+
+Result<std::unique_ptr<AnswerEnumerator>> Engine::Enumerate(
+    const ExecRequest& req) const {
+  const Database* db = req.EffectiveDb();
+  if (req.query == nullptr || db == nullptr) {
+    return Status::InvalidArgument("ExecRequest needs a query and a database");
+  }
+  const ConjunctiveQuery& q = *req.query;
+  FGQ_RETURN_NOT_OK(q.Validate());
+  const QueryClass cls = Classify(q);
+  // Two classes have an enumerator with a delay bound that a prepared
+  // entry (materialized answers) would lose.
+  if (cls == QueryClass::kGeneralAcyclic) {
+    return PinEnumerator(MakeLinearDelayEnumerator(q, *db, ContextFor(req)),
+                         req.snapshot);
+  }
+  if (cls == QueryClass::kAcyclicDisequalities && !Compiles(cls, req.tier)) {
+    // Theorem 4.20's fast path needs a specific shape; the prepared
+    // entry materializes when it declines.
+    Result<std::unique_ptr<AnswerEnumerator>> e = MakeNeqEnumerator(q, *db);
+    if (e.ok()) return PinEnumerator(std::move(e), req.snapshot);
+  }
+  FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> entry,
+                       Prepare(req));
+  return PinEnumerator(entry->Cursor(req.trace), req.snapshot);
 }
 
 }  // namespace fgq

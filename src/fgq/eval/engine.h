@@ -30,22 +30,29 @@
 ///
 /// The call surface is one request aggregate: build an ExecRequest (query
 /// + database + optional per-call options, cancel token, trace sink,
-/// execution tier) and pass it to Run / Count / Enumerate. The historical
-/// Execute overloads were removed after a deprecation cycle; see
-/// docs/API.md.
+/// execution tier) and pass it to Run / Count / SumProduct / Enumerate.
 ///
-/// Execution tiers: classes whose evaluation loop the paper fixes
-/// (Boolean / free-connex / head-only-disequality ACQs) can additionally
-/// be lowered to fgq::vm bytecode and run on the switch-threaded VM
-/// (src/fgq/vm/). ExecRequest::tier picks: kInterpret never compiles,
-/// kAuto compiles exactly where the compiled stream is bit-identical to
-/// the interpreter's, kCompile also compiles shapes whose answer *set*
-/// matches but whose order may differ (disequality filters).
+/// Every call is a preparation followed by a cheap phase. Engine::Prepare
+/// holds the one class switch: it builds a PreparedQuery
+/// (prepared_query.h) — the Theorem 4.6 indexed plan, its fgq::vm
+/// bytecode, or the materialized answers — and Run streams it, SumProduct
+/// folds it, Enumerate opens a cursor on it. QueryService caches the same
+/// objects. Three paths keep their own algorithm because a prepared entry
+/// would lose a guarantee: the join-tree DP for aggregates of plain
+/// acyclic queries (O(||D||) without materializing; counting always takes
+/// it), and the linear-delay (Theorem 4.3) and disequality (Theorem 4.20)
+/// enumerators.
+///
+/// Execution tiers: Engine::Compiles is the one rule for when the VM
+/// (src/fgq/vm/) runs. Boolean and free-connex queries compile at every
+/// tier but kInterpret (their compiled stream is bit-identical to the
+/// interpreter's); head-only disequality queries compile at kCompile only
+/// (same answer set, possibly another order); nothing else compiles.
 
 namespace fgq {
 
 /// Where a query falls in the paper's complexity landscape; decides the
-/// algorithm Engine::Execute dispatches to.
+/// algorithm Engine::Prepare dispatches to.
 enum class QueryClass {
   /// Boolean acyclic CQ: one bottom-up semijoin sweep, O(||phi|| ||D||)
   /// (Theorem 4.2's model-checking half).
@@ -73,6 +80,7 @@ const char* QueryClassName(QueryClass c);
 
 class TraceContext;  // src/fgq/trace/trace.h
 class Snapshot;      // src/fgq/db/snapshot.h
+struct PreparedQuery;  // src/fgq/eval/prepared_query.h
 
 /// Everything one evaluation call needs, in one aggregate. The query and
 /// database are borrowed (non-owning, must outlive the call); the rest
@@ -106,10 +114,8 @@ struct ExecRequest {
   /// Span/counter sink for per-phase attribution, or null (untraced fast
   /// path). Not owned; must outlive the call.
   TraceContext* trace = nullptr;
-  /// Which execution tier serves the call: kInterpret (never the VM),
-  /// kAuto (VM where its stream is bit-identical to the interpreter's),
-  /// kCompile (VM wherever sound, including disequality filters whose
-  /// answer order may differ). Non-compilable classes always interpret.
+  /// Which execution tier serves the call; Engine::Compiles maps it and
+  /// the query class to the VM or the interpreter.
   ExecTier tier = ExecTier::kAuto;
   /// Which commutative semiring Engine::SumProduct aggregates under
   /// (semiring.h). Ignored by Run/Count/Enumerate; kCounting (the
@@ -141,9 +147,6 @@ struct ExecResult {
   bool BooleanValue() const { return answers.NumTuples() > 0; }
 };
 
-/// Historical name of ExecResult (pre-ExecRequest API).
-using QueryResult = ExecResult;
-
 /// The unified entry point to every evaluation algorithm in the library.
 class Engine {
  public:
@@ -159,23 +162,31 @@ class Engine {
   /// query analysis; does not touch a database.
   static QueryClass Classify(const ConjunctiveQuery& q);
 
-  /// Evaluates phi(D) with the fastest algorithm for the query's class.
-  /// InvalidArgument when req.query/req.db is null.
+  /// The tier rule: true when class `c` runs on the VM at `tier`.
+  static bool Compiles(QueryClass c, ExecTier tier);
+
+  /// Prepares req.query against the request's database at req.tier: the
+  /// indexed plan (plus its program where Compiles) for Boolean and
+  /// free-connex queries, the program for compiled disequalities, the
+  /// materialized answers for every other class. InvalidArgument when
+  /// req.query/req.db is null.
+  Result<std::shared_ptr<const PreparedQuery>> Prepare(
+      const ExecRequest& req) const;
+
+  /// Evaluates phi(D): Prepare, then one full stream (sorted and
+  /// deduplicated). InvalidArgument when req.query/req.db is null.
   Result<ExecResult> Run(const ExecRequest& req) const;
 
-  /// Counts |phi(D)| without materializing answers: counting DP for
-  /// acyclic queries (Theorems 4.21/4.28), oracle fallback otherwise.
-  /// (The counting DP is not yet cancellation-aware; req.cancel applies
-  /// to the oracle fallback only.)
+  /// Counts |phi(D)| without materializing answers for plain acyclic
+  /// queries (the counting DP of Theorems 4.21/4.28, at every tier); other
+  /// classes count their prepared entry. Honours req.cancel throughout.
   Result<BigInt> Count(const ExecRequest& req) const;
 
   /// Sum-product aggregation under req.semiring (semiring.h): ⊕ over
   /// distinct answers of the ⊗ of first-occurrence head-element weights.
-  /// kCounting routes through the fused counting path (identical to
-  /// Count); plain acyclic classes run the generalized join-tree DP
-  /// (Theorems 4.21/4.28 lifted to semirings), compilable classes use
-  /// the per-semiring VM instantiations at req.tier, and everything
-  /// else materializes with Run and folds.
+  /// Plain acyclic classes run the join-tree DP (Theorems 4.21/4.28 lifted
+  /// to semirings) unless the tier rule compiles them and the semiring is
+  /// not counting; everything else folds its prepared entry.
   Result<SemiringValue> SumProduct(const ExecRequest& req) const;
 
   /// Streams the answers with the strongest delay guarantee available:
@@ -186,7 +197,7 @@ class Engine {
       const ExecRequest& req) const;
 
   /// Non-aggregate conveniences (still current API, used by the low-level
-  /// tests): equivalent to Run/Count/Enumerate on a default ExecRequest.
+  /// tests): equivalent to Count/Enumerate on a default ExecRequest.
   Result<BigInt> Count(const ConjunctiveQuery& q, const Database& db) const {
     return Count(ExecRequest(q, db));
   }
@@ -196,9 +207,6 @@ class Engine {
   }
 
  private:
-  Result<ExecResult> ExecuteWith(const ConjunctiveQuery& q,
-                                 const Database& db, const ExecContext& ctx,
-                                 ExecTier tier) const;
   /// Assembles the per-call ExecContext from the request (options
   /// override, cancel token, trace sink).
   ExecContext ContextFor(const ExecRequest& req) const;

@@ -16,24 +16,24 @@ namespace {
 
 class MaterializedEnumerator : public AnswerEnumerator {
  public:
-  explicit MaterializedEnumerator(Relation answers)
+  explicit MaterializedEnumerator(std::shared_ptr<const Relation> answers)
       : answers_(std::move(answers)) {}
 
   bool Next(Tuple* out) override {
-    if (answers_.arity() == 0) {
-      if (pos_ > 0 || answers_.NumTuples() == 0) return false;
+    if (answers_->arity() == 0) {
+      if (pos_ > 0 || answers_->NumTuples() == 0) return false;
       ++pos_;
       out->clear();
       return true;
     }
-    if (pos_ >= answers_.NumTuples()) return false;
-    *out = answers_.Row(pos_).ToTuple();
+    if (pos_ >= answers_->NumTuples()) return false;
+    *out = answers_->Row(pos_).ToTuple();
     ++pos_;
     return true;
   }
 
  private:
-  Relation answers_;
+  std::shared_ptr<const Relation> answers_;
   size_t pos_ = 0;
 };
 
@@ -263,6 +263,12 @@ class LinearDelayEnumerator : public AnswerEnumerator {
 
 std::unique_ptr<AnswerEnumerator> MakeMaterializedEnumerator(
     Relation answers) {
+  return MakeMaterializedEnumerator(
+      std::make_shared<const Relation>(std::move(answers)));
+}
+
+std::unique_ptr<AnswerEnumerator> MakeMaterializedEnumerator(
+    std::shared_ptr<const Relation> answers) {
   return std::make_unique<MaterializedEnumerator>(std::move(answers));
 }
 

@@ -49,8 +49,11 @@ class AnswerEnumerator {
   virtual bool Next(Tuple* out) = 0;
 };
 
-/// Baseline: materialize, then replay.
+/// Baseline: materialize, then replay. The shared overload replays
+/// answers owned elsewhere (a prepared query's) and keeps them alive.
 std::unique_ptr<AnswerEnumerator> MakeMaterializedEnumerator(Relation answers);
+std::unique_ptr<AnswerEnumerator> MakeMaterializedEnumerator(
+    std::shared_ptr<const Relation> answers);
 
 /// Theorem 4.3: linear-preprocessing, linear-delay enumeration for any
 /// acyclic conjunctive query (no negation/comparisons).

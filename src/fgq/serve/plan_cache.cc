@@ -88,30 +88,10 @@ PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
   return key;
 }
 
-AggregateMemo::~AggregateMemo() {
-  for (auto& slot : slots_) delete slot.load(std::memory_order_relaxed);
-}
-
-const SemiringValue* AggregateMemo::Get(SemiringId id) const {
-  return slots_[static_cast<size_t>(id)].load(std::memory_order_acquire);
-}
-
-const SemiringValue& AggregateMemo::Publish(SemiringId id, SemiringValue v) {
-  auto* mine = new SemiringValue(std::move(v));
-  const SemiringValue* published = nullptr;
-  if (slots_[static_cast<size_t>(id)].compare_exchange_strong(
-          published, mine, std::memory_order_acq_rel,
-          std::memory_order_acquire)) {
-    return *mine;
-  }
-  delete mine;  // Lost the race: keep the first value.
-  return *published;
-}
-
 PlanCache::PlanCache(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-std::shared_ptr<const CachedPlan> PlanCache::Get(const PlanKey& key) {
+std::shared_ptr<const PreparedQuery> PlanCache::Get(const PlanKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
@@ -123,7 +103,8 @@ std::shared_ptr<const CachedPlan> PlanCache::Get(const PlanKey& key) {
   return it->second->plan;
 }
 
-void PlanCache::Put(const PlanKey& key, std::shared_ptr<const CachedPlan> plan) {
+void PlanCache::Put(const PlanKey& key,
+                    std::shared_ptr<const PreparedQuery> plan) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {

@@ -1,8 +1,6 @@
 #ifndef FGQ_SERVE_PLAN_CACHE_H_
 #define FGQ_SERVE_PLAN_CACHE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -11,14 +9,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fgq/count/semiring.h"
-#include "fgq/db/relation.h"
 #include "fgq/db/snapshot.h"
-#include "fgq/eval/engine.h"
-#include "fgq/eval/enumerate.h"
+#include "fgq/eval/prepared_query.h"
 #include "fgq/query/cq.h"
 #include "fgq/util/hash.h"
-#include "fgq/vm/program.h"
 
 /// \file plan_cache.h
 /// The serving layer's prepared-plan cache.
@@ -28,10 +22,9 @@
 /// free-projection sweeps + hash-index builds) is O(||D||), while each
 /// answer afterwards costs O(||phi||). A service that re-runs the
 /// preprocessing on every request throws that asymmetry away. PlanCache
-/// keeps the immutable preprocessing artifact — an IndexedFreeConnexPlan
-/// (plus, on the compiled tier, the fgq::vm Program lowered from it) for
-/// free-connex/Boolean queries, the materialized answer relation for
-/// the other classes — keyed by the *canonicalized* query text, the data
+/// keeps the PreparedQuery that Engine::Prepare built (prepared_query.h:
+/// the indexed plan, its compiled program, or the materialized answers)
+/// keyed by the *canonicalized* query text, the data
 /// state it was built against, and the execution tier, so a repeated
 /// query (even alpha-renamed) skips straight to the enumeration phase,
 /// any mutation of the data invalidates every plan (and compiled
@@ -108,50 +101,7 @@ struct PlanKeyHash {
 PlanKey MakeSnapshotPlanKey(const ConjunctiveQuery& q, const Snapshot& snap,
                             uint8_t tier, uint8_t /*semiring*/ = 0);
 
-/// The count-verb aggregates of one cached preparation, one write-once
-/// slot per SemiringId (counting included). The first request under a
-/// semiring folds the shared preparation and publishes the value; later
-/// requests read it. Publication is a compare-and-swap from null, so
-/// racing workers may both fold but the first value published wins — the
-/// values are pure functions of the entry, so which one wins is
-/// immaterial — and a published slot never changes, so reads take no
-/// lock.
-class AggregateMemo {
- public:
-  AggregateMemo() = default;
-  AggregateMemo(const AggregateMemo&) = delete;
-  AggregateMemo& operator=(const AggregateMemo&) = delete;
-  ~AggregateMemo();
-
-  /// The value published under `id`, or nullptr.
-  const SemiringValue* Get(SemiringId id) const;
-  /// Publishes `v` under `id` unless a value is already there; returns
-  /// the slot's value either way.
-  const SemiringValue& Publish(SemiringId id, SemiringValue v);
-
- private:
-  std::array<std::atomic<const SemiringValue*>, kNumSemirings> slots_{};
-};
-
-/// One cached preparation. Exactly one of `plan` / `answers` is set:
-/// free-connex and Boolean queries cache the indexed plan (cursors are
-/// created per request), everything else caches the materialized answers.
-/// On the compiled tier, `program` additionally holds the fgq::vm
-/// bytecode lowered from `plan` (the program pins its plan alive);
-/// requests then run VM cursors instead of interpreter cursors. The
-/// preparation is immutable shared state — safe to hand to any number of
-/// concurrent requests; `aggregates` is the one mutable member, and it is
-/// thread-safe.
-struct CachedPlan {
-  QueryClass classification = QueryClass::kCyclic;
-  std::string algorithm;
-  std::shared_ptr<const IndexedFreeConnexPlan> plan;
-  std::shared_ptr<const vm::Program> program;
-  std::shared_ptr<const Relation> answers;
-  mutable AggregateMemo aggregates;
-};
-
-/// A bounded LRU over CachedPlan entries. All operations take the cache
+/// A bounded LRU over PreparedQuery entries. All operations take the cache
 /// mutex; the values handed out are shared_ptrs to immutable state, so an
 /// entry evicted mid-request stays alive until its last user drops it.
 class PlanCache {
@@ -161,11 +111,11 @@ class PlanCache {
 
   /// Returns the entry for `key` and marks it most-recently-used, or
   /// nullptr on miss.
-  std::shared_ptr<const CachedPlan> Get(const PlanKey& key);
+  std::shared_ptr<const PreparedQuery> Get(const PlanKey& key);
 
   /// Inserts (or replaces) the entry for `key`, evicting the least
   /// recently used entry when over capacity.
-  void Put(const PlanKey& key, std::shared_ptr<const CachedPlan> plan);
+  void Put(const PlanKey& key, std::shared_ptr<const PreparedQuery> plan);
 
   /// Drops every entry.
   void Clear();
@@ -179,7 +129,7 @@ class PlanCache {
  private:
   struct Entry {
     PlanKey key;
-    std::shared_ptr<const CachedPlan> plan;
+    std::shared_ptr<const PreparedQuery> plan;
   };
 
   mutable std::mutex mu_;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "fgq/count/acq_count.h"
-#include "fgq/vm/compile.h"
-#include "fgq/vm/vm.h"
+#include "fgq/eval/prepared_query.h"
 
 namespace fgq {
 
@@ -18,37 +16,6 @@ std::vector<double> LatencyBounds() { return Histogram::LatencyBounds(); }
 
 double ToMicros(std::chrono::nanoseconds d) {
   return static_cast<double>(d.count()) / 1000.0;
-}
-
-/// Runs a fresh cursor over `entry`'s plan or program for at most
-/// `limit` answers (0 = all), appending them to `out` — or, with a null
-/// `out`, only counting them in O(1) memory — and returns how many it
-/// stepped. Fails with the cancellation status, labelled `what`, when
-/// the request's token trips.
-Result<uint64_t> Drain(const ServiceRequest& req, const CancelToken& cancel,
-                       const CachedPlan& entry, uint64_t limit, Relation* out,
-                       const char* what) {
-  std::unique_ptr<AnswerEnumerator> cursor =
-      entry.program ? vm::MakeProgramCursor(entry.program, req.trace)
-                    : MakePlanEnumerator(entry.plan);
-  uint64_t n = 0;
-  Tuple t;
-  while ((limit == 0 || n < limit) && cursor->Next(&t)) {
-    ++n;
-    if (out == nullptr) {
-      // Count only.
-    } else if (req.query.arity() == 0) {
-      out->AddNullary();
-    } else {
-      out->Add(t);
-    }
-    if (cancel.cancelled()) {
-      Status base = cancel.Check(what);
-      return Status(base.code(), base.message() + " (" + std::to_string(n) +
-                                     " answers enumerated)");
-    }
-  }
-  return n;
 }
 
 }  // namespace
@@ -314,7 +281,7 @@ ServiceResponse QueryService::Process(Pending& p) {
     key.db_version = db_->version();
     key.tier = static_cast<uint8_t>(tier);
   }
-  std::shared_ptr<const CachedPlan> cached;
+  std::shared_ptr<const PreparedQuery> cached;
   // A request whose deadline expired while queued fails fast.
   Status admitted = p.cancel.Check("queue wait");
   if (!admitted.ok()) {
@@ -327,8 +294,21 @@ ServiceResponse QueryService::Process(Pending& p) {
       request_span.Arg("cache", "hit");
     } else {
       metrics_.GetCounter("serve.cache.misses").Increment();
-      cached = Prepare(p, *db, &resp);
-      if (cached && resp.status.ok()) cache_.Put(key, cached);
+      ExecRequest exec(p.req.query, *db);
+      exec.cancel = p.cancel;
+      exec.trace = p.req.trace;
+      exec.tier = tier;
+      Result<std::shared_ptr<const PreparedQuery>> prepared =
+          engine_.Prepare(exec);
+      if (!prepared.ok()) {
+        resp.status = prepared.status();
+      } else {
+        cached = std::move(prepared).value();
+        if (cached->program) {
+          metrics_.GetCounter("serve.vm.compiled").Increment();
+        }
+        cache_.Put(key, cached);
+      }
     }
   }
 
@@ -337,47 +317,36 @@ ServiceResponse QueryService::Process(Pending& p) {
     if (cached->answers && resp.cache_hit) {
       // Materialized answers still count as emitted to *this* request, so
       // a traced cache hit reads the same as a traced miss (whose emits
-      // were already counted by the engine inside Prepare).
+      // were already counted by Engine::Prepare).
       TraceCounter(p.req.trace, "tuples_emitted",
                    cached->answers->NumTuples());
     }
     if (p.req.verb == ServeVerb::kCount) {
-      Result<SemiringValue> v = Aggregate(p, *cached);
+      bool from_memo = false;
+      Result<SemiringValue> v = cached->Aggregate(
+          p.req.query, p.req.semiring, p.cancel, p.req.trace, &from_memo);
       if (!v.ok()) {
         resp.status = v.status();
-      } else if (p.req.semiring == SemiringId::kCounting) {
-        resp.count = std::move(v->count);
       } else {
-        resp.semiring_value = std::move(v).value();
-      }
-    } else if (cached->answers) {
-      if (p.req.limit != 0 && p.req.limit < cached->answers->NumTuples()) {
-        // Truncated view of the shared materialized answers.
-        auto prefix = std::make_shared<Relation>(cached->answers->name(),
-                                                 cached->answers->arity());
-        if (cached->answers->arity() == 0) {
-          for (uint64_t i = 0; i < p.req.limit; ++i) prefix->AddNullary();
+        metrics_
+            .GetCounter(from_memo ? "serve.aggregate.memo_hits"
+                                  : "serve.aggregate.memo_fills")
+            .Increment();
+        if (p.req.semiring == SemiringId::kCounting) {
+          resp.count = std::move(v->count);
         } else {
-          prefix->AppendPrefixFrom(*cached->answers, p.req.limit);
+          resp.semiring_value = std::move(v).value();
         }
-        resp.answers = std::move(prefix);
-      } else {
-        resp.answers = cached->answers;
       }
     } else {
-      // Serve from the shared preparation: a fresh cursor per request —
-      // a VM cursor over the compiled program when one was prepared, the
-      // interpreter's plan cursor otherwise.
-      TraceSpan enumerate_span(p.req.trace, "enumerate", "serve");
-      auto out = std::make_shared<Relation>(p.req.query.name(),
-                                            p.req.query.arity());
-      Result<uint64_t> n = Drain(p.req, p.cancel, *cached, p.req.limit,
-                                 out.get(), "answer enumeration");
-      if (!n.ok()) {
-        resp.status = n.status();
+      // The shared materialized answers (or their prefix), else a fresh
+      // cursor over the shared plan or program.
+      Result<std::shared_ptr<const Relation>> rows =
+          cached->Stream(p.req.query, p.req.limit, p.cancel, p.req.trace);
+      if (!rows.ok()) {
+        resp.status = rows.status();
       } else {
-        TraceCounter(p.req.trace, "tuples_emitted", *n);
-        resp.answers = std::move(out);
+        resp.answers = std::move(rows).value();
       }
     }
   }
@@ -403,120 +372,6 @@ ServiceResponse QueryService::Process(Pending& p) {
     }
   }
   return resp;
-}
-
-std::shared_ptr<const CachedPlan> QueryService::Prepare(Pending& p,
-                                                        const Database& db,
-                                                        ServiceResponse* out) {
-  const ExecTier tier = p.req.tier.value_or(opts_.default_tier);
-  auto plan = std::make_shared<CachedPlan>();
-  plan->classification = p.classification;
-  if (p.classification == QueryClass::kBooleanAcyclic ||
-      p.classification == QueryClass::kFreeConnexAcyclic) {
-    // Cache the Theorem 4.6 preprocessing; the enumeration phase runs per
-    // request against the shared indexes.
-    ExecContext ctx =
-        engine_.context().WithCancel(p.cancel).WithTrace(p.req.trace);
-    Result<FreeConnexPlan> fc = BuildFreeConnexPlan(p.req.query, db, ctx);
-    if (!fc.ok()) {
-      out->status = fc.status();
-      return nullptr;
-    }
-    Result<std::shared_ptr<const IndexedFreeConnexPlan>> indexed =
-        IndexFreeConnexPlan(std::move(fc).value(), p.req.query.head(), ctx);
-    if (!indexed.ok()) {
-      out->status = indexed.status();
-      return nullptr;
-    }
-    plan->plan = std::move(indexed).value();
-    plan->algorithm = p.classification == QueryClass::kBooleanAcyclic
-                          ? "boolean-semijoin-sweep"
-                          : "constant-delay-enumeration";
-    if (tier != ExecTier::kInterpret) {
-      // The plan is already built; lowering it is cheap, and both classes
-      // execute bit-identically on the VM.
-      vm::Compilation comp = vm::CompilePlan(plan->plan, p.req.query, ctx.trace());
-      if (comp.ok()) {
-        plan->program = comp.program;
-        plan->algorithm = comp.program->algorithm;
-        metrics_.GetCounter("serve.vm.compiled").Increment();
-      }
-    }
-    return plan;
-  }
-  if (tier == ExecTier::kCompile &&
-      p.classification == QueryClass::kAcyclicDisequalities) {
-    // Head-only disequalities over a free-connex strip compile to the
-    // stripped plan plus post-emit filters; anything else falls back to
-    // witness elimination below.
-    ExecContext ctx =
-        engine_.context().WithCancel(p.cancel).WithTrace(p.req.trace);
-    Result<vm::Compilation> comp = vm::CompileQuery(p.req.query, db, ctx);
-    if (!comp.ok()) {
-      out->status = comp.status();
-      return nullptr;
-    }
-    if (comp->ok()) {
-      plan->program = comp->program;
-      plan->algorithm = comp->program->algorithm;
-      metrics_.GetCounter("serve.vm.compiled").Increment();
-      return plan;
-    }
-  }
-  // Every other class: evaluate once, cache the materialized answers (they
-  // serve both verbs; general-acyclic counts equal the answer count).
-  // The serving layer manages compilation itself, so the engine runs the
-  // plain interpreter here.
-  ExecRequest exec(p.req.query, db);
-  exec.cancel = p.cancel;
-  exec.trace = p.req.trace;
-  exec.tier = ExecTier::kInterpret;
-  Result<ExecResult> res = engine_.Run(exec);
-  if (!res.ok()) {
-    out->status = res.status();
-    return nullptr;
-  }
-  plan->algorithm = res->algorithm;
-  plan->answers = std::make_shared<const Relation>(std::move(res->answers));
-  return plan;
-}
-
-Result<SemiringValue> QueryService::Aggregate(Pending& p,
-                                              const CachedPlan& entry) {
-  const SemiringId id = p.req.semiring;
-  if (const SemiringValue* memo = entry.aggregates.Get(id)) {
-    metrics_.GetCounter("serve.aggregate.memo_hits").Increment();
-    return *memo;
-  }
-  // First request under `id` on this entry: fold the shared preparation
-  // — the compiled count stream when there is a program, else the
-  // materialized answers, else a drain of the plan cursor (counting only
-  // steps it, in O(1) memory; the other semirings fold the drained
-  // distinct answers).
-  TraceSpan aggregate_span(p.req.trace, "enumerate", "serve");
-  Result<SemiringValue> v = [&]() -> Result<SemiringValue> {
-    if (entry.program) {
-      return vm::RunSemiring(*entry.program, id, p.cancel, p.req.trace);
-    }
-    const char* what = "semiring aggregation";
-    if (id == SemiringId::kCounting) {
-      uint64_t n = entry.answers ? entry.answers->NumTuples() : 0;
-      if (!entry.answers) {
-        FGQ_ASSIGN_OR_RETURN(n, Drain(p.req, p.cancel, entry, 0, nullptr, what));
-      }
-      return SemiringValue::Counting(BigInt::FromUint64(n));
-    }
-    if (entry.answers) {
-      return FoldAnswersSemiring(p.req.query, *entry.answers, id);
-    }
-    Relation drained(p.req.query.name(), p.req.query.arity());
-    FGQ_RETURN_NOT_OK(Drain(p.req, p.cancel, entry, 0, &drained, what).status());
-    return FoldAnswersSemiring(p.req.query, drained, id);
-  }();
-  // A cancelled or timed-out fold publishes nothing.
-  if (!v.ok()) return v;
-  metrics_.GetCounter("serve.aggregate.memo_fills").Increment();
-  return entry.aggregates.Publish(id, std::move(v).value());
 }
 
 std::string QueryService::StatsDump() {

@@ -94,10 +94,8 @@ struct ServiceOptions {
   size_t cache_capacity = 128;
   /// Engine options shared by the workers (thread pool etc.).
   ExecOptions exec;
-  /// Execution tier for requests that do not set ServiceRequest::tier:
-  /// kAuto compiles the classes whose VM stream is bit-identical to the
-  /// interpreter's (Boolean, free-connex), kCompile also compiles
-  /// head-only disequalities, kInterpret never compiles.
+  /// Execution tier for requests that do not set ServiceRequest::tier
+  /// (Engine::Compiles says which classes it compiles).
   ExecTier default_tier = ExecTier::kAuto;
 };
 
@@ -250,19 +248,10 @@ class QueryService {
   static bool IsHeavy(QueryClass c);
 
   void WorkerLoop();
-  /// Executes one admitted request (snapshot pin, cache lookup,
-  /// evaluation, metrics).
+  /// Executes one admitted request: snapshot pin, cache lookup (on a miss
+  /// Engine::Prepare against the request's database view), then the
+  /// entry's Stream or Aggregate, and metrics.
   ServiceResponse Process(Pending& p);
-  /// Evaluation on cache miss against `db` (the pinned snapshot's view in
-  /// snapshot mode); fills `out` and returns the plan to cache (nullptr
-  /// when the result must not be cached, e.g. after a deadline). Computes
-  /// no aggregate: that is Aggregate's job, on any request.
-  std::shared_ptr<const CachedPlan> Prepare(Pending& p, const Database& db,
-                                            ServiceResponse* out);
-  /// The count-verb aggregate of `entry` under p.req.semiring: the memo
-  /// slot when filled, otherwise one fold over the shared preparation,
-  /// published to the slot on success (never after a cancelled fold).
-  Result<SemiringValue> Aggregate(Pending& p, const CachedPlan& entry);
 
   /// True when `p` takes the heavy lane (classification + lane hint).
   static bool TakesHeavyLane(const Pending& p);

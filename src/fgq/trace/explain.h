@@ -47,7 +47,7 @@ namespace fgq {
 struct QueryClassInfo {
   const char* name;       ///< Stable class name (QueryClassName()).
   const char* theorem;    ///< Paper theorem backing the dispatch.
-  const char* algorithm;  ///< QueryResult::algorithm of the dispatch target.
+  const char* algorithm;  ///< ExecResult::algorithm of the dispatch target.
   const char* bound;      ///< Predicted complexity bound.
   const char* file;       ///< Implementing file.
   const char* benchmark;  ///< Benchmark that verifies the bound.

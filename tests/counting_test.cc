@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "fgq/count/acq_count.h"
-#include "fgq/count/fields.h"
 #include "fgq/count/matchings.h"
+#include "fgq/count/semiring.h"
+#include "fgq/eval/engine.h"
 #include "fgq/eval/oracle.h"
 #include "fgq/hypergraph/star_size.h"
 #include "fgq/query/parser.h"
@@ -45,18 +47,19 @@ TEST(CountAcq0, SimpleJoin) {
   Relation f = e;
   f.set_name("F");
   db.PutRelation(f);
-  auto ones = [](Value) { return BigInt(1); };
-  auto c = WeightedCountAcq0<BigIntField>(
-      Q("Q(x, y, z) :- E(x, y), F(y, z)."), db, ones);
+  const ConjunctiveQuery q = Q("Q(x, y, z) :- E(x, y), F(y, z).");
+  auto c = SemiringSumAcq0(q, db, CountingSemiring{});
   ASSERT_TRUE(c.ok()) << c.status();
   EXPECT_EQ(c->ToString(), "2");  // (1,2,3), (1,2,4).
+  auto via_count = CountAcq(q, db);
+  ASSERT_TRUE(via_count.ok()) << via_count.status();
+  EXPECT_EQ(via_count->ToString(), "2");
 }
 
 TEST(CountAcq0, RejectsQuantifiedQuery) {
   Database db;
   db.PutRelation(Relation("E", 2));
-  auto ones = [](Value) { return BigInt(1); };
-  auto c = WeightedCountAcq0<BigIntField>(Q("Q(x) :- E(x, y)."), db, ones);
+  auto c = SemiringSumAcq0(Q("Q(x) :- E(x, y)."), db, CountingSemiring{});
   EXPECT_FALSE(c.ok());
 }
 
@@ -68,25 +71,9 @@ TEST(CountAcq0, WeightedSumMatchesManualComputation) {
   db.PutRelation(e);
   // Weight w(v) = v + 1; answers (0,1) and (1,2) weigh 1*2 and 2*3.
   auto w = [](Value v) { return static_cast<double>(v + 1); };
-  auto c = WeightedCountAcq0<DoubleField>(Q("Q(x, y) :- E(x, y)."), db, w);
-  ASSERT_TRUE(c.ok());
+  auto c = WeightedCountAcq(Q("Q(x, y) :- E(x, y)."), db, w);
+  ASSERT_TRUE(c.ok()) << c.status();
   EXPECT_DOUBLE_EQ(*c, 8.0);
-}
-
-TEST(CountAcq0, FieldsAgreeModulo) {
-  ConjunctiveQuery q = Q("Q(x, y, z) :- R(x, y), S(y, z), T(z).");
-  Database db = RandomDbFor(q, 60, 6, 404);
-  auto big = WeightedCountAcq0<BigIntField>(q, db,
-                                            [](Value) { return BigInt(1); });
-  auto mod = WeightedCountAcq0<ModField<1000000007>>(
-      q, db, [](Value) { return uint64_t{1}; });
-  auto i64 = WeightedCountAcq0<Int64Field>(q, db,
-                                           [](Value) { return int64_t{1}; });
-  ASSERT_TRUE(big.ok());
-  ASSERT_TRUE(mod.ok());
-  ASSERT_TRUE(i64.ok());
-  EXPECT_EQ(big->ToInt64() % 1000000007, static_cast<int64_t>(*mod));
-  EXPECT_EQ(big->ToInt64(), *i64);
 }
 
 // ---- Star-size counting (Theorem 4.28) ----------------------------------------
@@ -157,10 +144,10 @@ TEST(CountAcq, RejectsCyclic) {
   EXPECT_FALSE(c.ok());
 }
 
-TEST(CountAnswers, FallsBackOnCyclicQueries) {
+TEST(EngineCount, FallsBackOnCyclicQueries) {
   ConjunctiveQuery q = Q("Q() :- E(x, y), F(y, z), G(z, x).");
   Database db = RandomDbFor(q, 15, 5, 81);
-  auto c = CountAnswers(q, db);
+  auto c = Engine().Count(q, db);
   ASSERT_TRUE(c.ok()) << c.status();
   auto oracle = EvaluateBacktrack(q, db);
   EXPECT_EQ(c->ToString(), std::to_string(oracle->NumTuples()));
@@ -179,6 +166,63 @@ TEST(WeightedCountAcq, QuantifiedWeighted) {
                             [](Value v) { return static_cast<double>(v + 1); });
   ASSERT_TRUE(c.ok()) << c.status();
   EXPECT_DOUBLE_EQ(*c, 1.0 + 3.0);  // x = 0 and x = 2.
+}
+
+// ---- Cancellation of Engine::Count and Engine::SumProduct ------------------
+
+// One query per path the aggregate takes: the oracle (cyclic), the
+// S-component rewrite plus the DP (general acyclic), and the DP alone or,
+// for a compiled non-counting semiring, the prepared program
+// (quantifier-free free-connex).
+const char* const kCancelQueries[] = {
+    "Q() :- E(x, y), F(y, z), E(z, x).",
+    "Q(x, z) :- E(x, y), F(y, z).",
+    "Q(x, y, z) :- E(x, y), F(y, z).",
+};
+
+bool IsCancellation(const Status& s) {
+  return s.code() == StatusCode::kCancelled ||
+         s.code() == StatusCode::kDeadlineExceeded;
+}
+
+TEST(EngineCancel, TrippedTokenStopsCountAndSumProduct) {
+  const Engine engine;
+  for (const char* text : kCancelQueries) {
+    const ConjunctiveQuery q = Q(text);
+    const Database db = RandomDbFor(q, 2000, 200, 91);
+    ExecRequest req(q, db);
+    req.cancel = CancelToken::Cancellable();
+    req.cancel.Cancel();
+    Result<BigInt> c = engine.Count(req);
+    ASSERT_FALSE(c.ok()) << text << " counted " << c->ToString();
+    EXPECT_EQ(c.status().code(), StatusCode::kCancelled) << text;
+    req.semiring = SemiringId::kMinPlus;
+    Result<SemiringValue> v = engine.SumProduct(req);
+    ASSERT_FALSE(v.ok()) << text << " folded " << v->Encode();
+    EXPECT_EQ(v.status().code(), StatusCode::kCancelled) << text;
+  }
+}
+
+TEST(EngineCancel, DeadlineStopsCountAndSumProductOnLargeInputs) {
+  const Engine engine;
+  for (const char* text : kCancelQueries) {
+    const ConjunctiveQuery q = Q(text);
+    const Database db = RandomDbFor(q, 50000, 5000, 92);
+    for (SemiringId id : {SemiringId::kCounting, SemiringId::kMinPlus}) {
+      ExecRequest req(q, db);
+      req.semiring = id;
+      req.cancel = CancelToken::WithTimeout(std::chrono::milliseconds(1));
+      Result<SemiringValue> v = engine.SumProduct(req);
+      ASSERT_FALSE(v.ok()) << text << " under " << SemiringName(id)
+                           << " folded " << v->Encode();
+      EXPECT_TRUE(IsCancellation(v.status())) << text << ": " << v.status();
+    }
+    ExecRequest req(q, db);
+    req.cancel = CancelToken::WithTimeout(std::chrono::milliseconds(1));
+    Result<BigInt> c = engine.Count(req);
+    ASSERT_FALSE(c.ok()) << text << " counted " << c->ToString();
+    EXPECT_TRUE(IsCancellation(c.status())) << text << ": " << c.status();
+  }
 }
 
 // ---- Equation (2): perfect matchings (Section 4.4) -----------------------------

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
+#include "fgq/check/reference.h"
+#include "fgq/count/acq_count.h"
 #include "fgq/eval/engine.h"
 #include "fgq/query/parser.h"
+#include "fgq/serve/query_service.h"
+#include "fgq/workload/generators.h"
 
 namespace fgq {
 namespace {
@@ -82,6 +87,84 @@ TEST(EngineClassify, NamesAreStable) {
                "acyclic-order-comparisons");
   EXPECT_STREQ(QueryClassName(QueryClass::kNegated), "negated");
   EXPECT_STREQ(QueryClassName(QueryClass::kCyclic), "cyclic");
+}
+
+// ---- One tier rule -----------------------------------------------------------
+
+/// A small random database over every relation the golden corpus names.
+Database GoldenDb() {
+  Rng rng(7);
+  Database db;
+  for (const char* name : {"E", "F", "G", "H"}) {
+    db.PutRelation(RandomRelation(name, 2, 40, 8, &rng));
+  }
+  db.PutRelation(RandomRelation("B", 1, 4, 8, &rng));
+  db.DeclareDomainSize(8);
+  return db;
+}
+
+std::set<Tuple> Rows(const Relation& r) {
+  std::set<Tuple> out;
+  for (size_t i = 0; i < r.NumTuples(); ++i) {
+    out.insert(r.arity() == 0 ? Tuple{} : r.Row(i).ToTuple());
+  }
+  return out;
+}
+
+// Engine and QueryService prepare through the same Engine::Prepare, so at
+// every tier they must name the same algorithm; and every Engine call
+// must agree with the reference evaluator.
+TEST(EngineTierRule, EngineAndServiceAgreeAtEveryTier) {
+  const Database db = GoldenDb();
+  const Engine engine;
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  QueryService service(&db, opts);
+  for (const GoldenCase& c : kGolden) {
+    const ConjunctiveQuery q = Q(c.text);
+    Result<Relation> ref = ReferenceEvaluate(q, db);
+    ASSERT_TRUE(ref.ok()) << c.text << ": " << ref.status();
+    for (ExecTier tier :
+         {ExecTier::kInterpret, ExecTier::kAuto, ExecTier::kCompile}) {
+      const std::string where = std::string(c.text) + " at " +
+                                ExecTierName(tier);
+      ExecRequest req(q, db);
+      req.tier = tier;
+      Result<ExecResult> run = engine.Run(req);
+      ASSERT_TRUE(run.ok()) << where << ": " << run.status();
+      EXPECT_EQ(Rows(run->answers), Rows(*ref)) << where;
+
+      ServiceRequest sreq;
+      sreq.query = q;
+      sreq.tier = tier;
+      ServiceResponse resp = service.Submit(std::move(sreq)).get();
+      ASSERT_TRUE(resp.status.ok()) << where << ": " << resp.status;
+      EXPECT_EQ(run->algorithm, resp.algorithm) << where;
+      EXPECT_EQ(Rows(*resp.answers), Rows(*ref)) << where;
+
+      Result<std::unique_ptr<AnswerEnumerator>> e = engine.Enumerate(req);
+      ASSERT_TRUE(e.ok()) << where << ": " << e.status();
+      std::set<Tuple> enumerated;
+      size_t steps = 0;
+      Tuple t;
+      while ((*e)->Next(&t)) {
+        enumerated.insert(t);
+        ++steps;
+      }
+      EXPECT_EQ(steps, enumerated.size()) << where << ": repeated answer";
+      EXPECT_EQ(enumerated, Rows(*ref)) << where;
+
+      for (uint8_t id = 0; id < kNumSemirings; ++id) {
+        req.semiring = static_cast<SemiringId>(id);
+        Result<SemiringValue> got = engine.SumProduct(req);
+        Result<SemiringValue> want = FoldAnswersSemiring(q, *ref, req.semiring);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status();
+        ASSERT_TRUE(want.ok()) << where << ": " << want.status();
+        EXPECT_EQ(*got, *want) << where << " under "
+                               << SemiringName(req.semiring);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -80,24 +80,32 @@ TEST(CanonicalQueryText, DistinguishesStructure) {
 
 // ---- PlanCache --------------------------------------------------------------
 
+/// A legacy whole-version key (no epochs, tier 0).
+PlanKey Key(std::string canonical, uint64_t db_version) {
+  PlanKey key;
+  key.canonical = std::move(canonical);
+  key.db_version = db_version;
+  return key;
+}
+
 TEST(PlanCache, LruEviction) {
   PlanCache cache(2);
-  auto mk = [] { return std::make_shared<const CachedPlan>(); };
-  cache.Put({"a", 1}, mk());
-  cache.Put({"b", 1}, mk());
-  EXPECT_NE(cache.Get({"a", 1}), nullptr);  // "a" is now most recent.
-  cache.Put({"c", 1}, mk());                // Evicts "b".
+  auto mk = [] { return std::make_shared<const PreparedQuery>(); };
+  cache.Put(Key("a", 1), mk());
+  cache.Put(Key("b", 1), mk());
+  EXPECT_NE(cache.Get(Key("a", 1)), nullptr);  // "a" is now most recent.
+  cache.Put(Key("c", 1), mk());                // Evicts "b".
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.Get({"a", 1}), nullptr);
-  EXPECT_EQ(cache.Get({"b", 1}), nullptr);
-  EXPECT_NE(cache.Get({"c", 1}), nullptr);
+  EXPECT_NE(cache.Get(Key("a", 1)), nullptr);
+  EXPECT_EQ(cache.Get(Key("b", 1)), nullptr);
+  EXPECT_NE(cache.Get(Key("c", 1)), nullptr);
 }
 
 TEST(PlanCache, VersionIsPartOfKey) {
   PlanCache cache(8);
-  cache.Put({"q", 1}, std::make_shared<const CachedPlan>());
-  EXPECT_NE(cache.Get({"q", 1}), nullptr);
-  EXPECT_EQ(cache.Get({"q", 2}), nullptr);
+  cache.Put(Key("q", 1), std::make_shared<const PreparedQuery>());
+  EXPECT_NE(cache.Get(Key("q", 1)), nullptr);
+  EXPECT_EQ(cache.Get(Key("q", 2)), nullptr);
 }
 
 TEST(PlanCache, PlanKeyHashSwappedFields) {
@@ -106,49 +114,49 @@ TEST(PlanCache, PlanKeyHashSwappedFields) {
   // hashes that cancelled. These pairs compare unequal and must (with
   // overwhelming probability) hash apart.
   PlanKeyHash h;
-  PlanKey a{"q", 1};
+  PlanKey a = Key("q", 1);
   a.rel_epochs = {2};
-  PlanKey b{"q", 2};
+  PlanKey b = Key("q", 2);
   b.rel_epochs = {1};
   EXPECT_FALSE(a == b);
   EXPECT_NE(h(a), h(b));
 
-  PlanKey c{"q", 0};
+  PlanKey c = Key("q", 0);
   c.rel_epochs = {1, 2};
-  PlanKey d{"q", 0};
+  PlanKey d = Key("q", 0);
   d.rel_epochs = {2, 1};
   EXPECT_FALSE(c == d);
   EXPECT_NE(h(c), h(d));
 
   // Version vs tier swap: xor of identically hashed small ints cancelled.
-  PlanKey e{"q", 3};
+  PlanKey e = Key("q", 3);
   e.tier = 1;
-  PlanKey f{"q", 1};
+  PlanKey f = Key("q", 1);
   f.tier = 3;
   EXPECT_FALSE(e == f);
   EXPECT_NE(h(e), h(f));
 
   // Epoch-list length participates: {0} vs {} with matching version.
-  PlanKey g1{"q", 0};
+  PlanKey g1 = Key("q", 0);
   g1.rel_epochs = {0};
-  PlanKey g2{"q", 0};
+  PlanKey g2 = Key("q", 0);
   EXPECT_FALSE(g1 == g2);
   EXPECT_NE(h(g1), h(g2));
 }
 
 TEST(PlanCache, PutReplacesExistingEntry) {
   PlanCache cache(2);
-  auto first = std::make_shared<const CachedPlan>();
-  auto second = std::make_shared<const CachedPlan>();
-  cache.Put({"q", 1}, first);
-  cache.Put({"r", 1}, std::make_shared<const CachedPlan>());
-  cache.Put({"q", 1}, second);  // Replace, not duplicate.
+  auto first = std::make_shared<const PreparedQuery>();
+  auto second = std::make_shared<const PreparedQuery>();
+  cache.Put(Key("q", 1), first);
+  cache.Put(Key("r", 1), std::make_shared<const PreparedQuery>());
+  cache.Put(Key("q", 1), second);  // Replace, not duplicate.
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.Get({"q", 1}).get(), second.get());
+  EXPECT_EQ(cache.Get(Key("q", 1)).get(), second.get());
   // Replacement spliced "q" to the front, so the next insert evicts "r".
-  cache.Put({"s", 1}, std::make_shared<const CachedPlan>());
-  EXPECT_NE(cache.Get({"q", 1}), nullptr);
-  EXPECT_EQ(cache.Get({"r", 1}), nullptr);
+  cache.Put(Key("s", 1), std::make_shared<const PreparedQuery>());
+  EXPECT_NE(cache.Get(Key("q", 1)), nullptr);
+  EXPECT_EQ(cache.Get(Key("r", 1)), nullptr);
 }
 
 // ---- QueryService: caching --------------------------------------------------
@@ -185,7 +193,7 @@ TEST(QueryService, AlphaRenamedQueryHitsCache) {
   EXPECT_TRUE(resp.cache_hit);
 }
 
-TEST(QueryService, MutationInvalidatesCachedPlans) {
+TEST(QueryService, MutationInvalidatesCachedEntries) {
   Database db = TinyGraph();
   QueryService service(&db);
   ServiceRequest req;

@@ -61,6 +61,11 @@ DELETED_SYMBOLS = [
     "TrySubmit(",
     "PlanKey::semiring",
     "CachedPlan::semiring_value",
+    "WeightedCountAcq0",
+    "fields.h",
+    "QueryResult",
+    "CachedPlan",
+    "CountAnswers(",
 ]
 REMOVAL_CONTEXT_RE = re.compile(r"removed|retired|deprecat", re.IGNORECASE)
 
