@@ -191,7 +191,7 @@ Result<SemiringValue> SemiringSumAcq(const ConjunctiveQuery& q,
     case SemiringId::kTopK:
       return RunSemiringDp(
           q, db, TopKSemiring(kTopKWireK), ctx,
-          [](std::vector<int64_t> v) { return SemiringValue::TopK(std::move(v)); });
+          [](const TopKList& v) { return SemiringValue::TopK(v.ToVector()); });
   }
   return Status::InvalidArgument("unknown semiring id");
 }
@@ -220,8 +220,8 @@ Result<SemiringValue> FoldAnswersSemiring(const ConjunctiveQuery& q,
                       [](int64_t v) { return SemiringValue::MaxMin(v); });
     case SemiringId::kTopK:
       return FoldRows(answers, TopKSemiring(kTopKWireK), cols,
-                      [](std::vector<int64_t> v) {
-                        return SemiringValue::TopK(std::move(v));
+                      [](const TopKList& v) {
+                        return SemiringValue::TopK(v.ToVector());
                       });
   }
   return Status::InvalidArgument("unknown semiring id");

@@ -125,8 +125,8 @@ Result<typename S::ValueType> SemiringSumAcq0(
     std::vector<const Value*> cols(a.rel.arity());
     for (size_t c = 0; c < a.rel.arity(); ++c) cols[c] = a.rel.Column(c);
     for (size_t r = 0; r < a.rel.NumTuples(); ++r) {
-      if (r % kDpPollRows == 0 && cancel.cancelled()) {
-        return cancel.Check("sum-product DP");
+      if (r % kDpPollRows == 0) {
+        FGQ_RETURN_NOT_OK(cancel.Check("sum-product DP"));
       }
       V w = s.One();
       for (size_t c : owned_cols) w = s.Times(w, s.Weight(cols[c][r]));

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -149,45 +150,108 @@ struct MaxMinSemiring {
   ValueType Weight(Value v) const { return v; }
 };
 
+/// Most costs a top-k value holds: the k of a TopKSemiring is clamped to
+/// [1, kTopKCapacity], which covers the wire's kTopKWireK.
+inline constexpr size_t kTopKCapacity = kTopKWireK;
+
+/// A top-k value: at most kTopKCapacity distinct costs, ascending, held
+/// inline. The folds create and combine one per answer, so the value
+/// never touches the heap; copying it is a fixed-size copy.
+class TopKList {
+ public:
+  using value_type = int64_t;
+  using iterator = const int64_t*;
+  using const_iterator = const int64_t*;
+
+  TopKList() = default;
+  /// From ascending, distinct costs; entries past kTopKCapacity drop.
+  TopKList(std::initializer_list<int64_t> costs) {
+    for (int64_t c : costs) Append(c);
+  }
+  TopKList(const std::vector<int64_t>& costs) {  // NOLINT: implicit
+    for (int64_t c : costs) Append(c);
+  }
+
+  size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  int64_t operator[](size_t i) const { return v_[i]; }
+  int64_t back() const { return v_[n_ - 1]; }
+  const_iterator begin() const { return v_; }
+  const_iterator end() const { return v_ + n_; }
+  std::vector<int64_t> ToVector() const { return {begin(), end()}; }
+
+  /// Appends a cost larger than every held one, if there is room.
+  void Append(int64_t c) {
+    if (n_ < kTopKCapacity) v_[n_++] = c;
+  }
+
+  /// Adds `c`, keeping the k least distinct costs. Rejects at once when
+  /// the list is full and `c` is no smaller than its last entry.
+  void Insert(int64_t c, size_t k) {
+    if (n_ == k && c >= v_[n_ - 1]) return;
+    size_t i = n_;
+    while (i > 0 && v_[i - 1] > c) --i;
+    if (i > 0 && v_[i - 1] == c) return;
+    if (n_ < k) ++n_;
+    for (size_t j = n_ - 1; j > i; --j) v_[j] = v_[j - 1];
+    v_[i] = c;
+  }
+
+  friend bool operator==(const TopKList& a, const TopKList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  int64_t v_[kTopKCapacity] = {};
+  uint32_t n_ = 0;
+};
+
 /// k-truncated tropical polynomial: the k smallest *distinct* total head
 /// costs, sorted ascending. Zero = {} (no answers), One = {0}. Plus is
 /// merge-dedup-truncate; Times is pairwise saturating sums, dedup,
 /// truncate. Truncation keeps the laws exact: min-k of a union/sumset
-/// only depends on the min-k of the operands.
+/// only depends on the min-k of the operands. A fold combines mostly
+/// singletons (one weight per answer), so ⊕ of a singleton is one
+/// threshold insert and ⊗ of two singletons one saturating add.
 struct TopKSemiring {
-  using ValueType = std::vector<int64_t>;
+  using ValueType = TopKList;
   static constexpr SemiringId kId = SemiringId::kTopK;
 
-  explicit TopKSemiring(size_t k = kTopKWireK) : k_(k == 0 ? 1 : k) {}
+  explicit TopKSemiring(size_t k = kTopKWireK)
+      : k_(std::clamp<size_t>(k, 1, kTopKCapacity)) {}
   size_t k() const { return k_; }
 
   ValueType Zero() const { return {}; }
   ValueType One() const { return {0}; }
   ValueType Plus(const ValueType& a, const ValueType& b) const {
+    if (b.size() == 1 || a.size() == 1) {
+      ValueType out = b.size() == 1 ? a : b;
+      out.Insert(b.size() == 1 ? b[0] : a[0], k_);
+      return out;
+    }
     ValueType out;
-    out.reserve(std::min(a.size() + b.size(), k_));
-    size_t i = 0, j = 0;
-    while (out.size() < k_ && (i < a.size() || j < b.size())) {
-      int64_t v;
-      if (j >= b.size() || (i < a.size() && a[i] <= b[j])) {
-        v = a[i++];
-      } else {
-        v = b[j++];
-      }
-      if (out.empty() || out.back() != v) out.push_back(v);
+    const int64_t* x = a.begin();
+    const int64_t* y = b.begin();
+    while (out.size() < k_ && (x != a.end() || y != b.end())) {
+      const int64_t v = (y == b.end() || (x != a.end() && *x <= *y)) ? *x++
+                                                                      : *y++;
+      if (out.empty() || out.back() != v) out.Append(v);
     }
     return out;
   }
   ValueType Times(const ValueType& a, const ValueType& b) const {
-    ValueType sums;
-    sums.reserve(a.size() * b.size());
+    if (a.size() == 1 && b.size() == 1) return {SaturatingAdd(a[0], b[0])};
+    // Each row of sums x + b[..] ascends (saturating addition is
+    // monotone), so a row stops at its first rejected sum.
+    ValueType out;
     for (int64_t x : a) {
-      for (int64_t y : b) sums.push_back(SaturatingAdd(x, y));
+      for (int64_t y : b) {
+        const int64_t sum = SaturatingAdd(x, y);
+        if (out.size() == k_ && sum >= out.back()) break;
+        out.Insert(sum, k_);
+      }
     }
-    std::sort(sums.begin(), sums.end());
-    sums.erase(std::unique(sums.begin(), sums.end()), sums.end());
-    if (sums.size() > k_) sums.resize(k_);
-    return sums;
+    return out;
   }
   ValueType Weight(Value v) const { return {static_cast<int64_t>(v)}; }
 

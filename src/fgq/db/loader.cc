@@ -4,6 +4,7 @@
 #include <climits>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -72,6 +73,7 @@ Status LoadFactsFromString(const std::string& text, Database* db,
   std::string last_name;
   Relation* last_rel = nullptr;
   std::vector<Value> values;
+  std::set<std::string> loaded;
   bool dict_reserved = false;
 
   while (p != text_end) {
@@ -123,6 +125,7 @@ Status LoadFactsFromString(const std::string& text, Database* db,
       }
       last_rel = db->FindMutable(rel_name).value();
       last_name = rel_name;
+      loaded.insert(rel_name);
     }
     if (last_rel->arity() != values.size()) {
       return Status::ParseError(
@@ -131,6 +134,11 @@ Status LoadFactsFromString(const std::string& text, Database* db,
           ", got " + std::to_string(values.size()) + ")");
     }
     last_rel->AddRow(values.data());
+  }
+  // Loaded relations are canonical sorted sets (relation.h, sorted()):
+  // sorted once here, so preparation never sorts them again.
+  for (const std::string& name : loaded) {
+    db->FindMutable(name).value()->SortDedup();
   }
   return Status::OK();
 }

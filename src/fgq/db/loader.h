@@ -23,8 +23,9 @@ namespace fgq {
 
 /// Parses facts from a string buffer into `db`, interning strings in
 /// `dict`. Relations are created on first use with the arity of the first
-/// fact; later facts with a different arity are an error. `source_name`
-/// labels error messages.
+/// fact; later facts with a different arity are an error. Every relation
+/// the load touches ends as a sorted set (Relation::sorted(); duplicate
+/// facts collapse). `source_name` labels error messages.
 Status LoadFactsFromString(const std::string& text, Database* db,
                            Dictionary* dict,
                            const std::string& source_name = "<string>");

@@ -101,6 +101,102 @@ Relation Relation::FromColumns(std::string name, std::vector<ColumnVec> cols) {
   return out;
 }
 
+Relation Relation::FromSortedColumns(std::string name,
+                                     std::vector<ColumnVec> cols) {
+  Relation out = FromColumns(std::move(name), std::move(cols));
+  assert(out.IsSortedSet());
+  out.sorted_ = true;
+  return out;
+}
+
+int Relation::CompareRow(size_t i, const Value* t) const {
+  for (size_t c = 0; c < arity_; ++c) {
+    const Value v = cols_[c][i];
+    if (v != t[c]) return v < t[c] ? -1 : 1;
+  }
+  return 0;
+}
+
+bool Relation::IsSortedSet() const {
+  Tuple prev(arity_);
+  for (size_t i = 0; i < num_tuples_; ++i) {
+    if (i > 0 && CompareRow(i, prev.data()) <= 0) return false;
+    CopyRow(i, prev.data());
+  }
+  return true;
+}
+
+size_t Relation::LowerBound(const Value* t) const {
+  assert(sorted_);
+  size_t lo = 0, hi = NumTuples();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (CompareRow(mid, t) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+Relation Relation::MergeSorted(const std::vector<uint32_t>& deleted,
+                               const Relation& inserts,
+                               const std::vector<uint32_t>& insert_at) const {
+  assert(sorted_ && inserts.arity_ == arity_);
+  assert(insert_at.size() == inserts.NumTuples());
+  Relation out(name_, arity_);
+  out.sorted_ = true;
+  if (arity_ == 0) {
+    // A nullary set holds the empty tuple or nothing.
+    if (NumTuples() > deleted.size() || !inserts.empty()) {
+      out.zero_arity_count_ = 1;
+    }
+    return out;
+  }
+  // Plan the output once as runs of old survivors and of inserts, then
+  // stream every column through the same runs with memcpy.
+  struct Run {
+    const Relation* from;
+    size_t begin, len;
+  };
+  std::vector<Run> runs;
+  const size_t n = num_tuples_, m = inserts.num_tuples_;
+  size_t pos = 0, di = 0, ii = 0, total = 0;
+  while (pos < n || ii < m) {
+    if (ii < m && insert_at[ii] <= pos) {
+      size_t j = ii + 1;
+      while (j < m && insert_at[j] <= pos) ++j;
+      runs.push_back({&inserts, ii, j - ii});
+      total += j - ii;
+      ii = j;
+    } else if (di < deleted.size() && deleted[di] == pos) {
+      ++di;
+      ++pos;
+    } else {
+      size_t end = n;
+      if (di < deleted.size()) end = std::min<size_t>(end, deleted[di]);
+      if (ii < m) end = std::min<size_t>(end, insert_at[ii]);
+      runs.push_back({this, pos, end - pos});
+      total += end - pos;
+      pos = end;
+    }
+  }
+  for (size_t c = 0; c < arity_; ++c) {
+    ColumnVec& col = out.cols_[c];
+    col.resize(total);
+    Value* dst = col.data();
+    for (const Run& r : runs) {
+      std::memcpy(dst, r.from->cols_[c].data() + r.begin,
+                  r.len * sizeof(Value));
+      dst += r.len;
+    }
+  }
+  out.num_tuples_ = total;
+  assert(out.IsSortedSet());
+  return out;
+}
+
 std::vector<Value> Relation::ToRowMajor() const {
   std::vector<Value> out(num_tuples_ * arity_);
   for (size_t c = 0; c < arity_; ++c) {
@@ -258,10 +354,30 @@ Relation Relation::Project(const std::vector<size_t>& cols,
     return out;
   }
   // Column-wise the projection itself is free: each output column is a
-  // straight copy of a source column. All the work is the trailing dedup.
-  for (size_t j = 0; j < cols.size(); ++j) out.cols_[j] = cols_[cols[j]];
+  // straight copy of a source column. All the work is the dedup, and a
+  // prefix of a sorted set needs no sort for it: equal projected rows
+  // are adjacent.
+  const size_t k = cols.size();
+  bool prefix = true;
+  for (size_t j = 0; j < k; ++j) prefix = prefix && cols[j] == j;
+  for (size_t j = 0; j < k; ++j) out.cols_[j] = cols_[cols[j]];
   out.num_tuples_ = n;
-  out.SortDedup(ctx);
+  if (!sorted_ || !prefix) {
+    out.SortDedup(ctx);
+    return out;
+  }
+  if (k < arity_ && n > 1) {
+    std::vector<uint8_t> keep(n, 1);
+    for (size_t i = 1; i < n; ++i) {
+      bool same = true;
+      for (size_t j = 0; j < k && same; ++j) {
+        same = out.cols_[j][i] == out.cols_[j][i - 1];
+      }
+      keep[i] = same ? 0 : 1;
+    }
+    out.CompactRows(keep);
+  }
+  out.sorted_ = true;
   return out;
 }
 

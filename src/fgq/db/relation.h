@@ -19,7 +19,10 @@
 /// one contiguous vector per column. All evaluation algorithms treat
 /// relations as sets; Relation::SortDedup establishes set semantics in
 /// O(N log N), matching the paper's convention that the input encoding
-/// induces a linear order on tuples. The mutators that dominate hot loops
+/// induces a linear order on tuples. The relations of a loaded database
+/// and of every SnapshotStore snapshot are kept as such sorted sets, so
+/// evaluation only re-sorts what a query permutes (see sorted()). The
+/// mutators that dominate hot loops
 /// (SortDedup, Filter, Project) have morsel-parallel variants taking an
 /// ExecContext; with a serial context they are bit-for-bit identical to
 /// the plain overloads.
@@ -95,6 +98,11 @@ class Relation {
   /// column-wise producers (atom scans) assemble output columns directly
   /// and hand them over without a row-major detour.
   static Relation FromColumns(std::string name, std::vector<ColumnVec> cols);
+  /// FromColumns for columns the caller has proven to hold a sorted set
+  /// (an order-keeping scan of a sorted() relation): the result is
+  /// sorted() without a sort. Debug builds check the claim.
+  static Relation FromSortedColumns(std::string name,
+                                    std::vector<ColumnVec> cols);
   /// Pre-sizes the backing store for `num_rows` rows.
   void Reserve(size_t num_rows) {
     for (auto& col : cols_) col.reserve(num_rows);
@@ -114,13 +122,33 @@ class Relation {
   /// equality). O(N * arity) — not for hot paths.
   std::vector<Value> ToRowMajor() const;
 
-  /// True when the rows are currently in canonical lexicographic sorted
-  /// order (established by SortDedup, preserved by the order-keeping
-  /// mutators CompactRows/Filter, cleared by appends and resorts). The
-  /// semijoin data plane keys fast paths off this: a sorted column probes
+  /// True when the rows are a canonical sorted set: lexicographically
+  /// ascending and duplicate-free. Only SortDedup and MergeSorted
+  /// establish it (Project and the atom scans keep it when their output
+  /// is provably in order); the order-keeping mutators CompactRows/Filter
+  /// preserve it; appends and resorts clear it. The data plane keys fast
+  /// paths off this: preparation skips its sort, a sorted column probes
   /// in runs, and two relations sorted on a shared leading column can be
   /// semijoined by a linear merge with no hash table at all.
   bool sorted() const { return sorted_; }
+
+  /// First row not less than `t` (arity() values) in lexicographic
+  /// order, or NumTuples() when every row is less. Requires sorted().
+  size_t LowerBound(const Value* t) const;
+  /// Lexicographic comparison of row `i` against the row `t`: negative,
+  /// zero or positive as row `i` is less than, equal to or greater than it.
+  int CompareRow(size_t i, const Value* t) const;
+
+  /// The order-keeping merge behind SnapshotStore::Apply. Requires
+  /// sorted(). Returns this relation without the rows `deleted`
+  /// (ascending row ids) and with the rows of `inserts` (a sorted set
+  /// equal to no surviving row), row i placed before row `insert_at[i]`
+  /// of this relation (nondecreasing, as LowerBound gives). Each column
+  /// is written as memcpy'd runs between those positions, so the cost is
+  /// one pass over the columns whatever the batch. The result is sorted().
+  Relation MergeSorted(const std::vector<uint32_t>& deleted,
+                       const Relation& inserts,
+                       const std::vector<uint32_t>& insert_at) const;
 
   /// Sorts rows lexicographically and removes duplicates (set semantics).
   void SortDedup();
@@ -133,6 +161,9 @@ class Relation {
   void SortBy(const std::vector<size_t>& cols);
 
   /// Returns the projection of this relation onto `cols` (with dedup).
+  /// On a sorted() relation the identity projection is a copy and a
+  /// prefix projection (cols = 0..k-1) deduplicates adjacent rows in one
+  /// pass; every other projection sorts.
   Relation Project(const std::vector<size_t>& cols,
                    const std::string& name) const;
   /// Parallel variant (same result for any thread count).
@@ -167,6 +198,8 @@ class Relation {
 
  private:
   void ApplyOrder(const std::vector<uint32_t>& order, size_t keep_n);
+  /// True when the rows are strictly ascending (what sorted() promises).
+  bool IsSortedSet() const;
 
   std::string name_;
   size_t arity_ = 0;

@@ -1,39 +1,11 @@
 #include "fgq/db/snapshot.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "fgq/trace/trace.h"
-#include "fgq/util/hash.h"
 
 namespace fgq {
-
-namespace {
-
-/// Hash-set key for a tuple borrowed from a row-major store.
-struct RowKey {
-  const Value* data;
-  size_t arity;
-};
-
-struct RowKeyHash {
-  size_t operator()(const RowKey& k) const {
-    return static_cast<size_t>(HashSpan(k.data, k.arity));
-  }
-};
-
-struct RowKeyEq {
-  bool operator()(const RowKey& a, const RowKey& b) const {
-    if (a.arity != b.arity) return false;
-    for (size_t i = 0; i < a.arity; ++i) {
-      if (a.data[i] != b.data[i]) return false;
-    }
-    return true;
-  }
-};
-
-}  // namespace
 
 std::shared_ptr<const HashIndex> Snapshot::MaintainedIndex(
     const std::string& relation, const std::vector<size_t>& key_cols) const {
@@ -44,6 +16,15 @@ std::shared_ptr<const HashIndex> Snapshot::MaintainedIndex(
 }
 
 SnapshotStore::SnapshotStore(Database db) {
+  // Snapshot relations are canonical sorted sets, which Apply keeps and
+  // preparation relies on; a database built by hand is sorted once here.
+  std::vector<std::string> unsorted;
+  for (const auto& [name, rel] : db.relations()) {
+    if (!rel->sorted()) unsorted.push_back(name);
+  }
+  for (const std::string& name : unsorted) {
+    db.FindMutable(name).value()->SortDedup();
+  }
   auto snap = std::make_shared<Snapshot>();
   snap->epoch_ = 1;
   for (const auto& [name, rel] : db.relations()) {
@@ -99,54 +80,53 @@ Result<uint64_t> SnapshotStore::Apply(const MutationBatch& batch,
   for (const RelationMutation& m : batch) {
     std::shared_ptr<const Relation> old = next_db->FindShared(m.relation);
     const size_t n_old = old->NumTuples();
-    const size_t arity = old->arity();
 
-    // Ascending ids of the rows the batch deletes (every row equal to a
-    // listed tuple).
+    // Ascending ids of the rows the batch deletes: one binary search
+    // per listed tuple (relations are sorted sets, so at most one row).
     std::vector<uint32_t> deleted;
-    if (!m.deletes.empty()) {
-      if (arity == 0) {
-        // A 0-ary delete clears the "present" marker(s).
-        for (size_t i = 0; i < n_old; ++i) {
-          deleted.push_back(static_cast<uint32_t>(i));
-        }
-      } else {
-        std::unordered_set<RowKey, RowKeyHash, RowKeyEq> kill;
-        kill.reserve(m.deletes.size() * 2);
-        for (const Tuple& t : m.deletes) kill.insert(RowKey{t.data(), arity});
-        // Rows come out of the columnar store through one scratch buffer;
-        // the kill set only borrows it for the duration of each count().
-        Tuple scratch(arity);
-        for (size_t i = 0; i < n_old; ++i) {
-          old->CopyRow(i, scratch.data());
-          if (kill.count(RowKey{scratch.data(), arity}) > 0) {
-            deleted.push_back(static_cast<uint32_t>(i));
-          }
-        }
+    for (const Tuple& t : m.deletes) {
+      const size_t at = old->LowerBound(t.data());
+      if (at < n_old && old->CompareRow(at, t.data()) == 0) {
+        deleted.push_back(static_cast<uint32_t>(at));
       }
     }
+    std::sort(deleted.begin(), deleted.end());
+    deleted.erase(std::unique(deleted.begin(), deleted.end()), deleted.end());
 
-    // New payload: survivors in order, then the inserts at the tail —
-    // exactly the shape HashIndex::DeltaBuild expects.
-    Relation next_rel(m.relation, arity);
-    next_rel.Reserve(n_old - deleted.size() + m.inserts.size());
-    if (deleted.empty()) {
-      next_rel.AppendFrom(*old);
-    } else {
-      std::vector<uint8_t> keep(n_old, 1);
-      for (uint32_t d : deleted) keep[d] = 0;
-      next_rel.AppendFrom(*old);
-      next_rel.CompactRows(keep);
-    }
-    for (const Tuple& t : m.inserts) {
-      if (arity == 0) {
-        next_rel.AddNullary();
+    // The inserts as a sorted set, minus the rows that survive the
+    // deletes anyway; each remaining row is placed before the old row
+    // LowerBound finds for it.
+    Relation inserted(m.relation, old->arity());
+    for (const Tuple& t : m.inserts) inserted.AddRow(t.data());
+    inserted.SortDedup();
+    std::vector<uint8_t> absent(inserted.NumTuples(), 1);
+    std::vector<uint32_t> insert_at;
+    Tuple row(old->arity());
+    for (size_t i = 0; i < inserted.NumTuples(); ++i) {
+      inserted.CopyRow(i, row.data());
+      const size_t at = old->LowerBound(row.data());
+      if (at < n_old && old->CompareRow(at, row.data()) == 0 &&
+          !std::binary_search(deleted.begin(), deleted.end(), at)) {
+        absent[i] = 0;
       } else {
-        next_rel.AddRow(t.data());
+        insert_at.push_back(static_cast<uint32_t>(at));
       }
     }
-    ins_total += m.inserts.size();
+    inserted.CompactRows(absent);
+    Relation next_rel = old->MergeSorted(deleted, inserted, insert_at);
+    ins_total += inserted.NumTuples();
     del_total += deleted.size();
+
+    // HashIndex::DeltaBuild expects the survivors in order with the
+    // inserts at the tail: true when no insert lands before the last
+    // survivor (e.g. ascending keys); otherwise the index is rebuilt.
+    size_t survivors_end = n_old;
+    for (auto it = deleted.rbegin();
+         it != deleted.rend() && *it + 1 == survivors_end; ++it) {
+      --survivors_end;
+    }
+    const bool appended =
+        insert_at.empty() || insert_at.front() >= survivors_end;
 
     next_db->PutRelation(std::move(next_rel));
     std::shared_ptr<const Relation> fresh = next_db->FindShared(m.relation);
@@ -156,11 +136,12 @@ Result<uint64_t> SnapshotStore::Apply(const MutationBatch& batch,
     // full rebuild only when the delta cannot land on the base layout.
     HashIndex::Delta delta;
     delta.deleted_rows = std::move(deleted);
-    delta.num_inserted = m.inserts.size();
+    delta.num_inserted = inserted.NumTuples();
     for (Snapshot::Maintained& mi : next->indexes_) {
       if (mi.relation != m.relation) continue;
       std::unique_ptr<HashIndex> updated =
-          HashIndex::DeltaBuild(*mi.index, *mi.rel, *fresh, delta);
+          appended ? HashIndex::DeltaBuild(*mi.index, *mi.rel, *fresh, delta)
+                   : nullptr;
       if (updated != nullptr) {
         ++delta_built;
         mi.index = std::shared_ptr<const HashIndex>(std::move(updated));

@@ -27,10 +27,15 @@
 ///     of any streaming enumerator). A Snapshot is a fully immutable,
 ///     epoch-tagged view: a shared Database (relation payloads behind
 ///     shared_ptrs, see database.h) plus any maintained hash indexes.
-///   * A writer calls Apply(MutationBatch): it clones only the touched
-///     relations (copy-on-write at relation granularity), delta-updates
-///     the maintained indexes (HashIndex::DeltaBuild; full rebuild only
-///     when the delta cannot land on the base layout), bumps the global
+///   * Every snapshot relation is a canonical sorted set
+///     (Relation::sorted()): the constructor sorts any relation that is
+///     not one yet, and Apply keeps the order, so preparing a query over
+///     a snapshot sorts only what the query permutes.
+///   * A writer calls Apply(MutationBatch): it rewrites only the touched
+///     relations (copy-on-write at relation granularity) by an
+///     order-keeping merge, delta-updates the maintained indexes
+///     (HashIndex::DeltaBuild when every insert lands after the last
+///     surviving row; a full rebuild otherwise), bumps the global
 ///     epoch and the per-relation epoch of every touched relation, and
 ///     publishes a new Snapshot. Untouched relations, their indexes, and
 ///     their per-relation epochs are shared with the previous snapshot.
@@ -52,10 +57,11 @@ namespace fgq {
 
 class TraceContext;
 
-/// One relation's change set inside a batch. Deletes remove *every* row
-/// equal to one of the listed tuples (set-style), then inserts append at
-/// the tail in the given order. A relation listed with empty inserts and
-/// deletes still counts as touched (its epoch is bumped).
+/// One relation's change set inside a batch, with set semantics: deletes
+/// remove the listed tuples (absent ones are ignored), then inserts add
+/// the listed tuples at their sorted positions; a tuple already present
+/// after the deletes is not added again. A relation listed with empty
+/// inserts and deletes still counts as touched (its epoch is bumped).
 struct RelationMutation {
   std::string relation;
   std::vector<Tuple> inserts;
@@ -117,7 +123,9 @@ class Snapshot {
 /// Monotonic counters describing a store's maintenance history.
 struct SnapshotStoreStats {
   uint64_t batches_applied = 0;
+  /// Rows that were added (duplicate inserts count nothing).
   uint64_t rows_inserted = 0;
+  /// Rows that were removed (deletes of absent rows count nothing).
   uint64_t rows_deleted = 0;
   /// Maintained-index updates that landed incrementally.
   uint64_t indexes_delta_built = 0;
@@ -131,7 +139,8 @@ struct SnapshotStoreStats {
 /// internal mutex.
 class SnapshotStore {
  public:
-  /// Takes ownership of the initial database state (epoch 1).
+  /// Takes ownership of the initial database state (epoch 1), sorting
+  /// every relation that is not yet a sorted set.
   explicit SnapshotStore(Database db);
 
   /// The latest published snapshot. Never null.

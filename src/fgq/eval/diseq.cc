@@ -158,6 +158,9 @@ std::vector<Tuple> AllCoversBruteForce(const FunctionTable& table,
 
 namespace {
 
+/// The long loops poll the cancel token once per kPollMask + 1 rows.
+constexpr uint64_t kPollMask = 4095;
+
 /// One eliminated quantified variable: the rewritten atom's key variables
 /// (all free), the free variables it must differ from, and the witness
 /// store (key -> up to m+1 distinct values of z).
@@ -175,7 +178,8 @@ struct NeqPlan {
   Database scratch;                     // Rewritten atom relations.
 };
 
-Result<NeqPlan> BuildNeqPlan(const ConjunctiveQuery& q, const Database& db) {
+Result<NeqPlan> BuildNeqPlan(const ConjunctiveQuery& q, const Database& db,
+                             const ExecContext& ctx) {
   for (const Comparison& c : q.comparisons()) {
     if (c.op != Comparison::Op::kNotEqual) {
       return Status::Unsupported("only disequalities are allowed in ACQ_!=");
@@ -240,7 +244,8 @@ Result<NeqPlan> BuildNeqPlan(const ConjunctiveQuery& q, const Database& db) {
       }
     }
     // Build the witness store from the prepared atom.
-    FGQ_ASSIGN_OR_RETURN(PreparedAtom pa, PrepareAtom(atom, db));
+    FGQ_RETURN_NOT_OK(ctx.cancel().Check("disequality witness store"));
+    FGQ_ASSIGN_OR_RETURN(PreparedAtom pa, PrepareAtom(atom, db, ctx));
     int z_col = pa.VarIndex(z);
     WitnessCheck check;
     check.forbidden_vars = quantified_constraints[z];
@@ -256,6 +261,9 @@ Result<NeqPlan> BuildNeqPlan(const ConjunctiveQuery& q, const Database& db) {
     std::vector<const Value*> cols(pa.vars.size());
     for (size_t c = 0; c < pa.vars.size(); ++c) cols[c] = pa.rel.Column(c);
     for (size_t r = 0; r < pa.rel.NumTuples(); ++r) {
+      if ((r & kPollMask) == 0) {
+        FGQ_RETURN_NOT_OK(ctx.cancel().Check("disequality witness store"));
+      }
       for (size_t j = 0; j < key_cols.size(); ++j) key[j] = cols[key_cols[j]][r];
       std::vector<Value>& wl = check.witnesses[key];
       Value zv = cols[static_cast<size_t>(z_col)][r];
@@ -266,7 +274,7 @@ Result<NeqPlan> BuildNeqPlan(const ConjunctiveQuery& q, const Database& db) {
     }
     // The rewritten atom: projection onto the key variables.
     std::string rel_name = "__neq_" + std::to_string(fresh++);
-    Relation proj = pa.rel.Project(key_cols, rel_name);
+    Relation proj = pa.rel.Project(key_cols, rel_name, ctx);
     plan.scratch.PutRelation(std::move(proj));
     Atom rewritten_atom;
     rewritten_atom.relation = rel_name;
@@ -286,8 +294,10 @@ Result<NeqPlan> BuildNeqPlan(const ConjunctiveQuery& q, const Database& db) {
 class NeqFilterEnumerator : public AnswerEnumerator {
  public:
   NeqFilterEnumerator(std::unique_ptr<AnswerEnumerator> inner, NeqPlan plan,
-                      const std::vector<std::string>& head)
-      : inner_(std::move(inner)), plan_(std::move(plan)) {
+                      const std::vector<std::string>& head, CancelToken cancel)
+      : inner_(std::move(inner)),
+        plan_(std::move(plan)),
+        cancel_(std::move(cancel)) {
     std::map<std::string, size_t> pos;
     for (size_t i = 0; i < head.size(); ++i) pos[head[i]] = i;
     for (const WitnessCheck& c : plan_.checks) {
@@ -306,6 +316,8 @@ class NeqFilterEnumerator : public AnswerEnumerator {
   bool Next(Tuple* out) override {
     Tuple t;
     while (inner_->Next(&t)) {
+      // A tripped token ends the stream (rejections can run long).
+      if ((++pulled_ & kPollMask) == 0 && !cancel_.Check().ok()) return false;
       if (Accept(t)) {
         *out = std::move(t);
         return true;
@@ -354,6 +366,8 @@ class NeqFilterEnumerator : public AnswerEnumerator {
   NeqPlan plan_;
   std::vector<CheckCols> check_cols_;
   std::vector<std::pair<size_t, size_t>> diseq_cols_;
+  CancelToken cancel_;
+  uint64_t pulled_ = 0;
 };
 
 Database MergeScratch(const Database& db, const Database& scratch) {
@@ -368,23 +382,33 @@ Database MergeScratch(const Database& db, const Database& scratch) {
 }  // namespace
 
 Result<std::unique_ptr<AnswerEnumerator>> MakeNeqEnumerator(
-    const ConjunctiveQuery& q, const Database& db) {
+    const ConjunctiveQuery& q, const Database& db, const ExecContext& ctx) {
   FGQ_RETURN_NOT_OK(q.Validate());
-  FGQ_ASSIGN_OR_RETURN(NeqPlan plan, BuildNeqPlan(q, db));
+  FGQ_ASSIGN_OR_RETURN(NeqPlan plan, BuildNeqPlan(q, db, ctx));
   Database merged = MergeScratch(db, plan.scratch);
   FGQ_ASSIGN_OR_RETURN(std::unique_ptr<AnswerEnumerator> inner,
-                       MakeConstantDelayEnumerator(plan.rewritten, merged));
+                       MakeConstantDelayEnumerator(plan.rewritten, merged, ctx));
   return std::unique_ptr<AnswerEnumerator>(new NeqFilterEnumerator(
-      std::move(inner), std::move(plan), q.head()));
+      std::move(inner), std::move(plan), q.head(), ctx.cancel()));
 }
 
-Result<Relation> EvaluateAcqNeq(const ConjunctiveQuery& q, const Database& db) {
-  Result<std::unique_ptr<AnswerEnumerator>> e = MakeNeqEnumerator(q, db);
+Result<Relation> EvaluateAcqNeq(const ConjunctiveQuery& q, const Database& db,
+                                const ExecContext& ctx) {
+  Result<std::unique_ptr<AnswerEnumerator>> e = MakeNeqEnumerator(q, db, ctx);
   if (!e.ok()) {
+    const StatusCode code = e.status().code();
+    if (code == StatusCode::kCancelled ||
+        code == StatusCode::kDeadlineExceeded) {
+      return e.status();
+    }
     // Unsupported shapes fall back to the oracle.
-    return EvaluateBacktrack(q, db);
+    return EvaluateBacktrack(q, db, ctx.cancel());
   }
-  return DrainEnumerator(e.value().get(), q.name(), q.arity());
+  Relation out = DrainEnumerator(e.value().get(), q.name(), q.arity());
+  // A tripped token ends the stream early; it stays tripped, so a cut
+  // drain is told apart from a complete one here.
+  FGQ_RETURN_NOT_OK(ctx.cancel().Check("disequality enumeration"));
+  return out;
 }
 
 }  // namespace fgq

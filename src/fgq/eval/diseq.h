@@ -71,12 +71,16 @@ std::vector<Tuple> AllCoversBruteForce(const FunctionTable& table,
 
 /// Evaluates an acyclic query whose comparisons are all disequalities.
 /// Uses the witness fast path when the query's shape permits, otherwise
-/// the backtracking oracle.
-Result<Relation> EvaluateAcqNeq(const ConjunctiveQuery& q, const Database& db);
+/// the backtracking oracle. Polls `ctx`'s cancel token and fails with
+/// Cancelled or DeadlineExceeded once it trips.
+Result<Relation> EvaluateAcqNeq(const ConjunctiveQuery& q, const Database& db,
+                                const ExecContext& ctx = ExecContext());
 
 /// Constant-delay enumeration of a free-connex ACQ_!= (Theorem 4.20).
+/// The preprocessing polls `ctx`'s cancel token.
 Result<std::unique_ptr<AnswerEnumerator>> MakeNeqEnumerator(
-    const ConjunctiveQuery& q, const Database& db);
+    const ConjunctiveQuery& q, const Database& db,
+    const ExecContext& ctx = ExecContext());
 
 }  // namespace fgq
 

@@ -174,7 +174,7 @@ Result<std::shared_ptr<const PreparedQuery>> Engine::Prepare(
         }
       }
       TraceSpan neq(ctx.trace(), "neq_witness_elimination");
-      answers = EvaluateAcqNeq(q, db);
+      answers = EvaluateAcqNeq(q, db, ctx);
       entry->algorithm = "neq-witness-elimination";
       break;
     }
@@ -270,8 +270,10 @@ Result<std::unique_ptr<AnswerEnumerator>> Engine::Enumerate(
   }
   if (cls == QueryClass::kAcyclicDisequalities && !Compiles(cls, req.tier)) {
     // Theorem 4.20's fast path needs a specific shape; the prepared
-    // entry materializes when it declines.
-    Result<std::unique_ptr<AnswerEnumerator>> e = MakeNeqEnumerator(q, *db);
+    // entry materializes when it declines (and fails as this did on a
+    // tripped token).
+    Result<std::unique_ptr<AnswerEnumerator>> e =
+        MakeNeqEnumerator(q, *db, ContextFor(req));
     if (e.ok()) return PinEnumerator(std::move(e), req.snapshot);
   }
   FGQ_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> entry,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
+#include <functional>
 #include <optional>
 
 #include "fgq/db/index.h"
@@ -115,33 +117,49 @@ Result<PreparedAtom> PrepareAtom(const Atom& atom, const Database& db,
     return out;
   }
 
-  // Admission bitmap first (morsel-parallel; bytes are position-disjoint),
-  // then each output column is one filtered gather of a source column —
-  // fully column-wise, identical for any thread count.
-  std::vector<uint8_t> keep(n);
-  ThreadPool* pool = ctx.pool();
-  auto admit_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) keep[i] = keep_row(i) ? 1 : 0;
-  };
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      n < kParallelRowCutoff) {
-    admit_range(0, n);
-  } else {
-    pool->ParallelFor(n, ctx.morsel_size(), admit_range);
-  }
-  size_t kept = 0;
-  for (size_t i = 0; i < n; ++i) kept += keep[i];
   std::vector<Relation::ColumnVec> out_cols(out.vars.size());
-  for (size_t v = 0; v < out.vars.size(); ++v) {
-    const Value* src = ac[first_col[v]];
-    Relation::ColumnVec& col = out_cols[v];
-    col.reserve(kept);
-    for (size_t i = 0; i < n; ++i) {
-      if (keep[i]) col.push_back(src[i]);
+  if (out.vars.size() == arity) {
+    // Distinct variables in every column: nothing to filter or reorder.
+    for (size_t j = 0; j < arity; ++j) out_cols[j].assign(ac[j], ac[j] + n);
+  } else {
+    // Admission bitmap first (morsel-parallel; bytes are
+    // position-disjoint), then each output column is one filtered gather
+    // of a source column — fully column-wise, identical for any thread
+    // count.
+    std::vector<uint8_t> keep(n);
+    ThreadPool* pool = ctx.pool();
+    auto admit_range = [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) keep[i] = keep_row(i) ? 1 : 0;
+    };
+    if (pool == nullptr || pool->num_threads() <= 1 ||
+        n < kParallelRowCutoff) {
+      admit_range(0, n);
+    } else {
+      pool->ParallelFor(n, ctx.morsel_size(), admit_range);
+    }
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) kept += keep[i];
+    for (size_t v = 0; v < out.vars.size(); ++v) {
+      const Value* src = ac[first_col[v]];
+      Relation::ColumnVec& col = out_cols[v];
+      col.reserve(kept);
+      for (size_t i = 0; i < n; ++i) {
+        if (keep[i]) col.push_back(src[i]);
+      }
     }
   }
-  out.rel = Relation::FromColumns(atom.relation, std::move(out_cols));
-  out.rel.SortDedup(ctx);
+  // Variables are listed in first-occurrence order, so first_col ascends
+  // and every dropped column is a constant or a repeat of an earlier kept
+  // column: two admitted rows of a sorted set first differ in a kept
+  // column, and the scan of a sorted relation is already a sorted set.
+  assert(std::adjacent_find(first_col.begin(), first_col.end(),
+                            std::greater_equal<size_t>()) == first_col.end());
+  if (rel->sorted()) {
+    out.rel = Relation::FromSortedColumns(atom.relation, std::move(out_cols));
+  } else {
+    out.rel = Relation::FromColumns(atom.relation, std::move(out_cols));
+    out.rel.SortDedup(ctx);
+  }
   return out;
 }
 

@@ -82,20 +82,20 @@ class CancelToken {
         0) {
       return false;
     }
-    if (Clock::now() >= state_->deadline) {
-      Reason expected = Reason::kNone;
-      state_->reason.compare_exchange_strong(expected,
-                                             Reason::kDeadlineExceeded,
-                                             std::memory_order_relaxed);
-      return true;
-    }
-    return false;
+    return DeadlinePassed();
   }
 
   /// OK while the token has not tripped; afterwards DeadlineExceeded or
   /// Cancelled, mentioning `where` (e.g. "full reduction") when given.
+  /// Unlike cancelled() it reads the deadline clock on every call: phase
+  /// boundaries and batched polls (one per thousands of rows or ops) call
+  /// it, so a deadline shows at the first such poll after it passes.
   Status Check(const char* where = nullptr) const {
-    if (!cancelled()) return Status::OK();
+    if (state_ == nullptr) return Status::OK();
+    if (state_->reason.load(std::memory_order_relaxed) == Reason::kNone &&
+        !(state_->has_deadline && DeadlinePassed())) {
+      return Status::OK();
+    }
     std::string msg = state_->reason.load(std::memory_order_relaxed) ==
                               Reason::kDeadlineExceeded
                           ? "deadline exceeded"
@@ -122,6 +122,15 @@ class CancelToken {
     /// copies, which only makes deadline observation more frequent.
     mutable std::atomic<uint64_t> ticks{0};
   };
+
+  /// Reads the clock; latches kDeadlineExceeded once the deadline passed.
+  bool DeadlinePassed() const {
+    if (Clock::now() < state_->deadline) return false;
+    Reason expected = Reason::kNone;
+    state_->reason.compare_exchange_strong(expected, Reason::kDeadlineExceeded,
+                                           std::memory_order_relaxed);
+    return true;
+  }
 
   /// Clock reads happen on 1 out of kClockStride checks. The first check
   /// always reads the clock, so an already-expired deadline trips on the

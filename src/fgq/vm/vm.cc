@@ -195,8 +195,8 @@ Result<uint64_t> RunCount(const Program& program, const CancelToken& cancel,
   int32_t pc = 0;
   for (;;) {
     const Insn& in = code[pc];
-    if (((++ops) & 0xffff) == 0 && cancel.cancelled()) {
-      return cancel.Check("vm count");
+    if (((++ops) & 0xffff) == 0) {
+      FGQ_RETURN_NOT_OK(cancel.Check("vm count"));
     }
     switch (in.op) {
       case Op::kInitRoot: {
@@ -322,8 +322,8 @@ Result<typename S::ValueType> RunSumProduct(const Program& program, const S& s,
   int32_t pc = 0;
   for (;;) {
     const Insn& in = code[pc];
-    if (((++ops) & 0xffff) == 0 && cancel.cancelled()) {
-      return cancel.Check("vm sum-product");
+    if (((++ops) & 0xffff) == 0) {
+      FGQ_RETURN_NOT_OK(cancel.Check("vm sum-product"));
     }
     switch (in.op) {
       case Op::kInitRoot: {
@@ -454,7 +454,7 @@ template Result<int64_t> RunSumProduct<MaxMinSemiring>(const Program&,
                                                        const MaxMinSemiring&,
                                                        const CancelToken&,
                                                        TraceContext*);
-template Result<std::vector<int64_t>> RunSumProduct<TopKSemiring>(
+template Result<TopKList> RunSumProduct<TopKSemiring>(
     const Program&, const TopKSemiring&, const CancelToken&, TraceContext*);
 
 Result<SemiringValue> RunSemiring(const Program& program, SemiringId id,
@@ -482,10 +482,10 @@ Result<SemiringValue> RunSemiring(const Program& program, SemiringId id,
       return SemiringValue::MaxMin(v);
     }
     case SemiringId::kTopK: {
-      FGQ_ASSIGN_OR_RETURN(std::vector<int64_t> v,
+      FGQ_ASSIGN_OR_RETURN(TopKList v,
                            RunSumProduct(program, TopKSemiring(kTopKWireK),
                                          cancel, trace));
-      return SemiringValue::TopK(std::move(v));
+      return SemiringValue::TopK(v.ToVector());
     }
   }
   return Status::InvalidArgument("unknown semiring id");

@@ -11,6 +11,7 @@
 #include "fgq/db/trie.h"
 #include "fgq/db/value.h"
 #include "fgq/util/hash.h"
+#include "fgq/util/random.h"
 #include "fgq/util/simd.h"
 
 namespace fgq {
@@ -69,6 +70,83 @@ TEST(Relation, ProjectToNullary) {
   EXPECT_EQ(p.NumTuples(), 1u);  // "true".
   Relation empty("X", 2);
   EXPECT_EQ(empty.Project({}, "B").NumTuples(), 0u);
+}
+
+/// A random arity-3 bag over a small domain: plenty of duplicates and of
+/// rows sharing prefixes.
+Relation RandomBag(uint64_t seed, size_t rows) {
+  Rng rng(seed);
+  Relation r("R", 3);
+  for (size_t i = 0; i < rows; ++i) {
+    r.Add({static_cast<Value>(rng.Below(4)), static_cast<Value>(rng.Below(4)),
+           static_cast<Value>(rng.Below(4))});
+  }
+  return r;
+}
+
+// Project's linear paths on a sorted set (identity copy, adjacent dedup of
+// a prefix) must give what the sorting path gives on the same rows in
+// arbitrary order, and still be sorted sets.
+TEST(Relation, ProjectLinearPathsMatchSortingPath) {
+  const std::vector<std::vector<size_t>> projections = {
+      {0, 1, 2}, {0}, {0, 1}, {1}, {2}, {0, 2}, {1, 2}, {2, 0}, {1, 0, 2},
+      {0, 0}};
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const Relation bag = RandomBag(seed, 40);
+    Relation set = bag;
+    set.SortDedup();
+    ASSERT_TRUE(set.sorted());
+    for (const std::vector<size_t>& cols : projections) {
+      const Relation linear = set.Project(cols, "P");
+      const Relation sorting = bag.Project(cols, "P");
+      EXPECT_TRUE(linear.sorted());
+      EXPECT_EQ(linear.ToRowMajor(), sorting.ToRowMajor())
+          << "seed " << seed << " cols " << cols.size();
+      Relation resorted = linear;
+      resorted.SortDedup();
+      EXPECT_EQ(resorted.ToRowMajor(), linear.ToRowMajor());
+    }
+  }
+}
+
+TEST(Relation, LowerBoundAndMergeSortedKeepSortedSets) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Relation set = RandomBag(seed, 30);
+    set.SortDedup();
+    Rng rng(seed + 100);
+    // Delete a random subset of rows; insert random absent rows.
+    std::vector<uint32_t> deleted;
+    for (uint32_t i = 0; i < set.NumTuples(); ++i) {
+      if (rng.Below(3) == 0) deleted.push_back(i);
+    }
+    Relation inserts = RandomBag(seed + 200, 10);
+    inserts.SortDedup();
+    std::vector<uint8_t> keep(inserts.NumTuples(), 1);
+    std::vector<uint32_t> insert_at;
+    Relation expected("R", 3);
+    for (size_t i = 0; i < set.NumTuples(); ++i) {
+      if (!std::binary_search(deleted.begin(), deleted.end(), i)) {
+        expected.AddRowFrom(set, i);
+      }
+    }
+    for (size_t i = 0; i < inserts.NumTuples(); ++i) {
+      const Tuple t = inserts.Row(i).ToTuple();
+      const size_t at = set.LowerBound(t.data());
+      ASSERT_LE(at, set.NumTuples());
+      if (at > 0) EXPECT_LT(set.CompareRow(at - 1, t.data()), 0);
+      if (at < set.NumTuples() && set.CompareRow(at, t.data()) == 0) {
+        keep[i] = 0;  // Present: MergeSorted takes absent rows only.
+        continue;
+      }
+      insert_at.push_back(static_cast<uint32_t>(at));
+      expected.Add(t);
+    }
+    inserts.CompactRows(keep);
+    const Relation merged = set.MergeSorted(deleted, inserts, insert_at);
+    expected.SortDedup();
+    EXPECT_TRUE(merged.sorted());
+    EXPECT_EQ(merged.ToRowMajor(), expected.ToRowMajor()) << "seed " << seed;
+  }
 }
 
 TEST(Relation, FilterKeepsMatching) {

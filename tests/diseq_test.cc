@@ -4,8 +4,10 @@
 #include <string>
 
 #include "fgq/eval/diseq.h"
+#include "fgq/eval/engine.h"
 #include "fgq/eval/oracle.h"
 #include "fgq/query/parser.h"
+#include "fgq/util/random.h"
 #include "fgq/workload/generators.h"
 
 namespace fgq {
@@ -272,6 +274,36 @@ TEST(NeqEnumerator, UnsupportedShapesReportUnsupported) {
   auto e = MakeNeqEnumerator(Q("Q(x) :- R(x, y), S(x, z), y != z."), db);
   EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.status().code(), StatusCode::kUnsupported);
+}
+
+// A tripped token stops disequality preparation: Engine::Count (which
+// materializes through EvaluateAcqNeq) and Engine::Enumerate (Theorem
+// 4.20's enumerator) both report Cancelled instead of an answer.
+TEST(NeqEnumerator, TrippedTokenCancelsCountAndEnumerate) {
+  const ConjunctiveQuery q = Q("Q(x, z) :- E(x, y), F(y, z), x != z.");
+  Rng rng(17);
+  Database db;
+  db.PutRelation(RandomRelation("E", 2, 500, 100, &rng));
+  db.PutRelation(RandomRelation("F", 2, 500, 100, &rng));
+  const Engine engine;
+  ExecRequest req(q, db);
+  ASSERT_TRUE(engine.Count(req).ok());
+  req.cancel = CancelToken::Cancellable();
+  req.cancel.Cancel();
+  Result<BigInt> c = engine.Count(req);
+  ASSERT_FALSE(c.ok()) << "counted " << c->ToString();
+  EXPECT_EQ(c.status().code(), StatusCode::kCancelled) << c.status();
+  Result<std::unique_ptr<AnswerEnumerator>> e = engine.Enumerate(req);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kCancelled) << e.status();
+  ExecContext ctx = ExecContext().WithCancel(req.cancel);
+  EXPECT_EQ(EvaluateAcqNeq(q, db, ctx).status().code(),
+            StatusCode::kCancelled);
+  // A shape Theorem 4.20's enumerator serves fails the same way.
+  const ConjunctiveQuery fc = Q("Q(x, y) :- E(x, y), F(y, z), x != z.");
+  EXPECT_EQ(MakeNeqEnumerator(fc, db, ctx).status().code(),
+            StatusCode::kCancelled);
+  EXPECT_TRUE(MakeNeqEnumerator(fc, db).ok());
 }
 
 TEST(NeqEnumerator, RejectsOrderComparisons) {

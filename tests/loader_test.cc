@@ -74,5 +74,19 @@ TEST(Loader, CommentsBlanksAndInterningStillWork) {
   EXPECT_EQ((*db.Find("B"))->Row(0).ToTuple(), (Tuple{7}));
 }
 
+TEST(Loader, LoadedRelationsAreSortedSets) {
+  Database db;
+  Dictionary dict;
+  Status st = LoadFactsFromString("E 3 1\nE 1 2\nB 5\nE 3 1\nE 1 0\nB 2\n",
+                                  &db, &dict);
+  ASSERT_TRUE(st.ok()) << st;
+  const Relation* e = *db.Find("E");
+  EXPECT_TRUE(e->sorted());
+  EXPECT_EQ(e->ToRowMajor(), (std::vector<Value>{1, 0, 1, 2, 3, 1}));
+  const Relation* b = *db.Find("B");
+  EXPECT_TRUE(b->sorted());
+  EXPECT_EQ(b->ToRowMajor(), (std::vector<Value>{2, 5}));
+}
+
 }  // namespace
 }  // namespace fgq

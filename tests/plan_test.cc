@@ -9,6 +9,7 @@
 #include "fgq/eval/yannakakis.h"
 #include "fgq/hypergraph/hypergraph.h"
 #include "fgq/query/parser.h"
+#include "fgq/util/random.h"
 #include "fgq/workload/generators.h"
 
 namespace fgq {
@@ -31,6 +32,43 @@ TEST(PreparedAtom, ConstantsAndRepeatsResolved) {
   ASSERT_TRUE(pa.ok()) << pa.status();
   EXPECT_EQ(pa->vars, (std::vector<std::string>{"x"}));
   EXPECT_EQ(pa->rel.NumTuples(), 2u);  // x = 1 and x = 2.
+}
+
+// PrepareAtom skips its sort when the source relation is a sorted set;
+// that linear path must agree with the sorting path (the same rows in
+// arbitrary order) on constants, repeated variables and permuted columns.
+TEST(PreparedAtom, LinearPathOverSortedSetMatchesSortingPath) {
+  const char* const atoms[] = {
+      "Q(x, y, z) :- R(x, y, z).", "Q(x, y) :- R(x, 1, y).",
+      "Q(x, y) :- R(x, x, y).",    "Q(x, y) :- R(x, y, x).",
+      "Q(x) :- R(2, x, x).",       "Q(x, y, z) :- R(z, y, x).",
+      "Q(x, y) :- R(y, x, y).",    "Q(x) :- R(x, 0, 3).",
+      "Q() :- R(1, 1, 1).",
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    Relation bag("R", 3);  // Unsorted, with duplicates.
+    for (size_t i = 0; i < 60; ++i) {
+      bag.Add({static_cast<Value>(rng.Below(4)),
+               static_cast<Value>(rng.Below(4)),
+               static_cast<Value>(rng.Below(4))});
+    }
+    Relation set = bag;
+    set.SortDedup();
+    Database unsorted_db, sorted_db;
+    unsorted_db.PutRelation(bag);
+    sorted_db.PutRelation(set);
+    for (const char* text : atoms) {
+      const Atom a = ParseConjunctiveQuery(text)->atoms()[0];
+      Result<PreparedAtom> linear = PrepareAtom(a, sorted_db);
+      Result<PreparedAtom> sorting = PrepareAtom(a, unsorted_db);
+      ASSERT_TRUE(linear.ok() && sorting.ok()) << text;
+      EXPECT_EQ(linear->vars, sorting->vars) << text;
+      EXPECT_EQ(linear->rel.NumTuples(), sorting->rel.NumTuples()) << text;
+      EXPECT_EQ(linear->rel.ToRowMajor(), sorting->rel.ToRowMajor()) << text;
+      EXPECT_EQ(linear->rel.sorted(), sorting->rel.sorted()) << text;
+    }
+  }
 }
 
 TEST(PreparedAtom, ArityMismatchRejected) {

@@ -158,6 +158,28 @@ TEST(SemiringLaws, TopKTruncatesToKDistinct) {
   EXPECT_EQ(s.Times({10, 20}, {1, 2}), (std::vector<int64_t>{11, 12}));
 }
 
+TEST(SemiringLaws, TopKFoldOfSingletonsKeepsKLeastDistinct) {
+  // The fold shape: ⊕ of one weight per answer (threshold inserts) and ⊗
+  // of singletons (one add) must give the k least distinct totals.
+  TopKSemiring s;
+  Rng rng(5);
+  for (int round = 0; round < 20; ++round) {
+    TopKSemiring::ValueType acc = s.Zero();
+    std::vector<int64_t> all;
+    for (int i = 0; i < 50; ++i) {
+      const Value a = static_cast<Value>(rng.Below(30));
+      const Value b = static_cast<Value>(rng.Below(30));
+      acc = s.Plus(acc, s.Times(s.Weight(a), s.Weight(b)));
+      all.push_back(a + b);
+    }
+    std::sort(all.begin(), all.end());
+    all.erase(std::unique(all.begin(), all.end()), all.end());
+    all.resize(std::min(all.size(), s.k()));
+    EXPECT_EQ(acc, all);
+  }
+  EXPECT_EQ(TopKSemiring(100).k(), kTopKCapacity);
+}
+
 // ---- SemiringValue encode/decode ----------------------------------------
 
 TEST(SemiringValue, EncodeDecodeRoundTrip) {

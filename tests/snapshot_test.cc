@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -267,6 +268,123 @@ TEST(DeltaBuild, FuzzedChainsMatchFreshBuilds) {
     const SnapshotStoreStats st = store.stats();
     EXPECT_EQ(st.batches_applied, 6u);
   }
+}
+
+// Snapshot relations are sorted sets: after construction from a hand-built
+// bag and after every Apply of fuzzed batches (mid-relation inserts,
+// duplicate inserts, deletes of absent rows) each relation is flagged
+// sorted and equals the sorted set of a bag reference, and a maintained
+// index still matches a fresh build.
+TEST(SnapshotStore, RelationsStaySortedSetsUnderFuzzedBatches) {
+  constexpr Value kDomain = 4;
+  for (size_t arity : {size_t{0}, size_t{1}, size_t{3}}) {
+    for (uint64_t seed = 0; seed < 15; ++seed) {
+      Rng rng(seed * 31 + arity);
+      auto random_tuple = [&] {
+        Tuple t(arity);
+        for (Value& v : t) v = static_cast<Value>(rng.Below(kDomain));
+        return t;
+      };
+      // Reference: deletes drop every equal row, inserts append.
+      std::vector<Tuple> bag;
+      Relation r("R", arity);
+      for (size_t i = 0, n = rng.Below(12); i < n; ++i) {
+        bag.push_back(random_tuple());
+        r.Add(bag.back());
+      }
+      Database db;
+      db.PutRelation(std::move(r));
+      SnapshotStore store(std::move(db));
+      if (arity > 0) ASSERT_TRUE(store.MaintainIndex("R", {0}).ok());
+      for (int batch = 0;; ++batch) {
+        auto snap = store.Current();
+        const Relation* got = snap->db().Find("R").value();
+        Relation want("R", arity);
+        for (const Tuple& t : bag) want.Add(t);
+        want.SortDedup();
+        EXPECT_TRUE(got->sorted()) << "arity " << arity << " seed " << seed;
+        EXPECT_EQ(got->NumTuples(), want.NumTuples())
+            << "arity " << arity << " seed " << seed << " batch " << batch;
+        EXPECT_EQ(got->ToRowMajor(), want.ToRowMajor())
+            << "arity " << arity << " seed " << seed << " batch " << batch;
+        if (arity > 0) {
+          auto maintained = snap->MaintainedIndex("R", {0});
+          ASSERT_NE(maintained, nullptr);
+          HashIndex fresh(*got, {0});
+          for (Value k = 0; k < kDomain; ++k) {
+            std::multiset<uint32_t> a, b;
+            for (uint32_t id : maintained->Lookup({k})) a.insert(id);
+            for (uint32_t id : fresh.Lookup({k})) b.insert(id);
+            EXPECT_EQ(a, b) << "seed " << seed << " batch " << batch;
+          }
+        }
+        if (batch == 8) break;
+        RelationMutation m;
+        m.relation = "R";
+        for (size_t d = 0, nd = rng.Below(4); d < nd; ++d) {
+          m.deletes.push_back(random_tuple());
+        }
+        for (size_t i = 0, ni = rng.Below(5); i < ni; ++i) {
+          m.inserts.push_back(random_tuple());
+          if (rng.Below(3) == 0) m.inserts.push_back(m.inserts.back());
+        }
+        ASSERT_TRUE(store.Apply({m}).ok());
+        bag.erase(std::remove_if(bag.begin(), bag.end(),
+                                 [&](const Tuple& t) {
+                                   return std::find(m.deletes.begin(),
+                                                    m.deletes.end(),
+                                                    t) != m.deletes.end();
+                                 }),
+                  bag.end());
+        bag.insert(bag.end(), m.inserts.begin(), m.inserts.end());
+      }
+    }
+  }
+}
+
+TEST(SnapshotStore, DuplicateInsertsAndAbsentDeletesAreNoOps) {
+  SnapshotStore store(TwoRelations());  // R = {1,10}, {2,20}, {2,21}.
+  ASSERT_TRUE(store.Apply(InsertR({{1, 10}, {3, 30}, {3, 30}})).ok());
+  EXPECT_EQ(store.Current()->db().Find("R").value()->NumTuples(), 4u);
+  EXPECT_EQ(store.stats().rows_inserted, 1u);
+  ASSERT_TRUE(store.Apply(DeleteR({{9, 90}})).ok());
+  EXPECT_EQ(store.Current()->db().Find("R").value()->NumTuples(), 4u);
+  EXPECT_EQ(store.stats().rows_deleted, 0u);
+  // Deleted and re-inserted in one batch: the row stays.
+  ASSERT_TRUE(store.Apply({{"R", {{2, 20}}, {{2, 20}}}}).ok());
+  const Relation* r = store.Current()->db().Find("R").value();
+  EXPECT_EQ(r->NumTuples(), 4u);
+  EXPECT_TRUE(r->Contains({2, 20}));
+}
+
+// Maintained indexes delta-build when every insert lands after the last
+// surviving row and rebuild otherwise; either way they match fresh builds.
+TEST(SnapshotStore, TailInsertsDeltaBuildMidInsertsRebuild) {
+  SnapshotStore store(TwoRelations());  // R = {1,10}, {2,20}, {2,21}.
+  ASSERT_TRUE(store.MaintainIndex("R", {0}).ok());
+  auto matches_fresh = [&] {
+    auto snap = store.Current();
+    HashIndex fresh(*snap->db().Find("R").value(), {0});
+    auto idx = snap->MaintainedIndex("R", {0});
+    for (Value k = 0; k <= 4; ++k) {
+      std::multiset<uint32_t> a, b;
+      for (uint32_t id : idx->Lookup({k})) a.insert(id);
+      for (uint32_t id : fresh.Lookup({k})) b.insert(id);
+      EXPECT_EQ(a, b) << "key " << k;
+    }
+  };
+  ASSERT_TRUE(store.Apply(InsertR({{3, 30}})).ok());  // After the last row.
+  EXPECT_EQ(store.stats().indexes_delta_built, 1u);
+  matches_fresh();
+  ASSERT_TRUE(store.Apply(InsertR({{0, 5}})).ok());  // Before the first row.
+  EXPECT_EQ(store.stats().indexes_rebuilt, 1u);
+  matches_fresh();
+  // Deleting the last row lets an insert between it and its predecessor
+  // append after the last survivor.
+  RelationMutation m{"R", {{3, 5}}, {{3, 30}}};
+  ASSERT_TRUE(store.Apply({m}).ok());
+  EXPECT_EQ(store.stats().indexes_delta_built, 2u);
+  matches_fresh();
 }
 
 // Database::version() is documented readable while another thread
